@@ -9,12 +9,13 @@ determined by the cycle type, through the gcd-symmetric invariants.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
-from .gcd_symm import GVector, g_vector, h_vector, power_norm
-from .partition_poly import epsilon
+from .partition_poly import Invariants, invariants
 from .partitions import Partition
 
 Matrix = list[list[int]]
@@ -213,10 +214,18 @@ def orbit_basis(sigma: Permutation) -> OrbitBasis:
 
 
 def dimension(lam: Partition) -> int:
-    """Rank of the fixed algebra: g_1 plus twice the first divisor-matrix norm."""
-    if lam.s == 1:
-        return lam.n
-    return g_vector(lam)[1] + 2 * power_norm(lam, 1)
+    """Rank of the fixed algebra: the gcd-matrix total.
+
+    Summed over distinct parts a, b with multiplicities m_a, m_b as
+    sum m_a * m_b * gcd(a, b), so repeated parts cost nothing extra.
+    """
+    items = list(Counter(lam.parts).items())
+    total = 0
+    for k, (a, m_a) in enumerate(items):
+        total += m_a * m_a * a
+        for b, m_b in items[k + 1 :]:
+            total += 2 * m_a * m_b * math.gcd(a, b)
+    return total
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ class FieldSpec:
         p = self.characteristic
         if p == 0:
             return
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise InputError(f"characteristic must be 0 or prime, got {p}")
 
 
@@ -293,11 +302,12 @@ def _require_decomposable(lam: Partition, field: FieldSpec) -> None:
         )
 
 
-def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
+def wedderburn(lam: Partition | Invariants, field: FieldSpec) -> WedderburnShape:
     """Block multiplicities of the fixed algebra; they are the h-vector."""
+    record = invariants(lam)
+    lam = record.partition
     _require_decomposable(lam, field)
-    h = h_vector(g_vector(lam))
-    shape = WedderburnShape(multiplicities=h.values)
+    shape = WedderburnShape(multiplicities=record.h.values)
     if shape.n != lam.n:
         raise ConsistencyError(f"block sizes sum to {shape.n}, expected {lam.n}")
     if shape.multiplicities[-1] < 1:
@@ -305,11 +315,14 @@ def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
     return shape
 
 
-def isomorphic(lam: Partition, mu: Partition, field: FieldSpec) -> bool:
+def isomorphic(
+    lam: Partition | Invariants, mu: Partition | Invariants, field: FieldSpec
+) -> bool:
     """Whether the two fixed algebras are isomorphic: equal degree and polynomial."""
-    _require_decomposable(lam, field)
-    _require_decomposable(mu, field)
-    return lam.n == mu.n and epsilon(lam) == epsilon(mu)
+    left, right = invariants(lam), invariants(mu)
+    _require_decomposable(left.partition, field)
+    _require_decomposable(right.partition, field)
+    return left.partition.n == right.partition.n and left.polynomial == right.polynomial
 
 
 @dataclass(frozen=True)
@@ -330,22 +343,20 @@ class MoritaResult:
         return self.equivalent
 
 
-def _signed_value(lam: Partition, g: GVector) -> int:
-    return g[g.s] * epsilon(lam)(1)
-
-
-def morita_equivalent(lam: Partition, mu: Partition, field: FieldSpec) -> MoritaResult:
+def morita_equivalent(
+    lam: Partition | Invariants, mu: Partition | Invariants, field: FieldSpec
+) -> MoritaResult:
     """Morita equivalence: equal numbers of simple blocks.
 
     Two semisimple algebras over an algebraically closed field are Morita
     equivalent exactly when their multiplicity-free companions coincide,
     i.e. when they have the same number of simple factors.
     """
-    _require_decomposable(lam, field)
-    _require_decomposable(mu, field)
-    g_lam, g_mu = g_vector(lam), g_vector(mu)
-    blocks = (sum(h_vector(g_lam).values), sum(h_vector(g_mu).values))
-    signed = (_signed_value(lam, g_lam), _signed_value(mu, g_mu))
+    left, right = invariants(lam), invariants(mu)
+    _require_decomposable(left.partition, field)
+    _require_decomposable(right.partition, field)
+    blocks = (sum(left.h.values), sum(right.h.values))
+    signed = (left.signed_value, right.signed_value)
     return MoritaResult(
         equivalent=blocks[0] == blocks[1], blocks=blocks, signed_values=signed
     )

@@ -2,9 +2,12 @@
 
 Within a fixed (s, n) two partitions are equivalent exactly when their
 g-vectors agree, so the raw g-vector serves as the class key (g_1 = n makes
-the normalization by g_s injective here, and keys stay unsigned).  Grouping
-is an order-independent reduction keyed by g-vector followed by a final
-deterministic sort, so any evaluation order produces identical output.
+the normalization by g_s injective here, and keys stay unsigned).  The
+g-vector is a bijective transform of the h-vector, so grouping is an
+order-independent reduction keyed by the h-vector of each partition's
+gcd-closure; each class's h is mapped to its g-key once, and a final
+deterministic sort by g-key makes any evaluation order produce identical
+output.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import InputError
-from .gcd_symm import g_vector
+from .errors import ConsistencyError, InputError
+from .gcd_symm import _closure_h, _g_from_h
 from .partitions import Partition, count_partitions, enumerate_partitions
 
 
@@ -85,29 +88,42 @@ class EquivalenceClasses:
         return cls(s=data["s"], n=data["n"], classes=classes)
 
     def to_csv(self) -> str:
-        """One row per partition: parts, g-vector, 0-based class id."""
+        """One row per partition: parts, g-vector, 0-based class id.
+
+        Rows follow the enumeration order (descending lexicographic), so the
+        members of all classes are merged back into it.
+        """
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["parts", "g_vector", "class_id"])
-        by_key = {c.key: idx for idx, c in enumerate(self.classes)}
-        for lam in enumerate_partitions(self.s, self.n):
-            key = g_vector(lam).values
-            writer.writerow([str(lam), ",".join(str(v) for v in key), by_key[key]])
+        keys = [",".join(str(v) for v in c.key) for c in self.classes]
+        rows = sorted(
+            ((lam, idx) for idx, c in enumerate(self.classes) for lam in c.members),
+            key=lambda row: row[0].parts,
+            reverse=True,
+        )
+        writer.writerows([str(lam), keys[idx], idx] for lam, idx in rows)
         return out.getvalue()
 
 
 def classify(s: int, n: int) -> EquivalenceClasses:
-    """Group P(s, n) by g-vector."""
+    """Group P(s, n) by h-vector, keyed and sorted by the g-vector."""
     if s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
     groups: dict[tuple[int, ...], list[Partition]] = {}
     for lam in enumerate_partitions(s, n):
-        groups.setdefault(g_vector(lam).values, []).append(lam)
-    classes = tuple(
-        EquivalenceClass(key=key, members=tuple(groups[key])) for key in sorted(groups)
+        groups.setdefault(_closure_h(lam.parts), []).append(lam)
+    classes = sorted(
+        (EquivalenceClass(key=_g_from_h(h), members=tuple(members))
+         for h, members in groups.items()),
+        key=lambda c: c.key,
     )
-    result = EquivalenceClasses(s=s, n=n, classes=classes)
-    assert result.p == count_partitions(s, n)
+    result = EquivalenceClasses(s=s, n=n, classes=tuple(classes))
+    expected = count_partitions(s, n)
+    if result.p != expected:
+        raise ConsistencyError(
+            f"classified {result.p} partitions of P({s},{n}), expected {expected}"
+        )
     return result
 
 

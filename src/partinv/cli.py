@@ -23,9 +23,9 @@ from .algebra import (
 from .classify import classify as classify_partitions
 from .classify import self_equivalent
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .gcd_symm import g_vector, gcd_matrix_det_and_bounds, h_vector
+from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
-from .partition_poly import epsilon, equivalent
+from .partition_poly import Invariants, PartitionPolynomial, equivalent, invariants
 from .partitions import Partition, count_partitions, parse_partition
 
 MAX_CLASSIFY_SIZE = 200_000
@@ -46,23 +46,21 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
         print(text)
 
 
-def _polynomial_payload(lam: Partition) -> dict:
-    eps = epsilon(lam)
+def _polynomial_payload(eps: PartitionPolynomial) -> dict:
     return {"text": str(eps), "coefficients": list(eps.coefficients)}
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     field = _field(args)
-    g = g_vector(lam)
-    h = h_vector(g)
-    eps = epsilon(lam)
+    record = invariants(lam)
+    g, h, eps = record.g, record.h, record.polynomial
     dim = dimension(lam)
     det = gcd_matrix_det_and_bounds(lam)
     semisimple = is_semisimple(lam, field)
     shape = None
     if semisimple and field.algebraically_closed:
-        shape = wedderburn(lam, field)
+        shape = wedderburn(record, field)
 
     lines = [
         f"partition: {lam}",
@@ -94,7 +92,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "s": lam.s,
         "g_vector": list(g.values),
         "h_vector": list(h.values),
-        "polynomial": _polynomial_payload(lam),
+        "polynomial": _polynomial_payload(eps),
         "dimension": dim,
         "determinant": {
             "value": det.determinant,
@@ -111,17 +109,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_payload(args: argparse.Namespace) -> tuple[Partition, Partition, FieldSpec]:
+def _compare_payload(args: argparse.Namespace) -> tuple[Invariants, Invariants, FieldSpec]:
     lam = parse_partition(args.left)
     mu = parse_partition(args.right)
-    return lam, mu, _field(args)
+    field = _field(args)
+    return invariants(lam), invariants(mu), field
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
-    equal_poly = equivalent(lam, mu)
-    iso = isomorphic(lam, mu, field)
-    morita = morita_equivalent(lam, mu, field)
+    left, right, field = _compare_payload(args)
+    lam, mu = left.partition, right.partition
+    equal_poly = equivalent(left, right)
+    iso = isomorphic(left, right, field)
+    morita = morita_equivalent(left, right, field)
 
     def yesno(flag: bool) -> str:
         return "yes" if flag else "no"
@@ -129,8 +129,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     lines = [
         f"left: {lam} (n={lam.n}, s={lam.s})",
         f"right: {mu} (n={mu.n}, s={mu.s})",
-        f"left polynomial: {epsilon(lam)}",
-        f"right polynomial: {epsilon(mu)}",
+        f"left polynomial: {left.polynomial}",
+        f"right polynomial: {right.polynomial}",
         f"equivalent: {yesno(equal_poly)}",
         f"isomorphic: {yesno(iso)}",
         f"morita: {yesno(morita.equivalent)}",
@@ -141,14 +141,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "left": {
             "partition": list(lam.parts),
             "n": lam.n,
-            "polynomial": _polynomial_payload(lam),
+            "polynomial": _polynomial_payload(left.polynomial),
             "blocks": morita.blocks[0],
             "signed_value": morita.signed_values[0],
         },
         "right": {
             "partition": list(mu.parts),
             "n": mu.n,
-            "polynomial": _polynomial_payload(mu),
+            "polynomial": _polynomial_payload(right.polynomial),
             "blocks": morita.blocks[1],
             "signed_value": morita.signed_values[1],
         },
@@ -162,18 +162,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
-    verdict = isomorphic(lam, mu, field)
+    left, right, field = _compare_payload(args)
+    verdict = isomorphic(left, right, field)
     text = "\n".join(
         [
-            f"left polynomial: {epsilon(lam)}",
-            f"right polynomial: {epsilon(mu)}",
+            f"left polynomial: {left.polynomial}",
+            f"right polynomial: {right.polynomial}",
             f"isomorphic: {'yes' if verdict else 'no'}",
         ]
     )
     payload = {
-        "left": list(lam.parts),
-        "right": list(mu.parts),
+        "left": list(left.partition.parts),
+        "right": list(right.partition.parts),
         "characteristic": field.characteristic,
         "isomorphic": verdict,
     }
@@ -182,8 +182,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_morita(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
-    morita = morita_equivalent(lam, mu, field)
+    left, right, field = _compare_payload(args)
+    morita = morita_equivalent(left, right, field)
     text = "\n".join(
         [
             f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
@@ -192,8 +192,8 @@ def _cmd_morita(args: argparse.Namespace) -> int:
         ]
     )
     payload = {
-        "left": list(lam.parts),
-        "right": list(mu.parts),
+        "left": list(left.partition.parts),
+        "right": list(right.partition.parts),
         "characteristic": field.characteristic,
         "blocks": list(morita.blocks),
         "signed_values": list(morita.signed_values),

@@ -7,11 +7,24 @@ symmetric polynomials over it gives, for a partition, the vector
 
     g_i = sum of gcd(chosen parts) over all i-element subsets of parts,
 
-from which inclusion-exclusion recovers the h-vector: h_i counts the roots
+and its inclusion-exclusion transform, the h-vector: h_i counts the roots
 of unity lying in exactly i of the cyclic groups of orders given by the
-parts.  The triangular divisor matrix of pairwise gcds ties g_{i+1} to the
-norm of its i-th power, and the full gcd matrix carries the dimension data
-of the fixed-matrix algebra.  All arithmetic is exact; no floating point.
+parts.
+
+Both are derived from one place, the gcd-closure of the distinct parts (the
+gcds of their non-empty subsets).  By Gauss's identity every d | v
+contributes phi(d) to v, and d contributes to h_i where i is the number of
+parts it divides; grouping each d under the closure element v = gcd of the
+parts d divides gives, in increasing order of v,
+
+    f(v) = v - sum of f(w) over closure elements w < v dividing v,
+
+and f(v) is added to h_i for i = number of parts (with multiplicity)
+divisible by v.  Then g_i = sum_j C(j, i) h_j.  No factorization is needed,
+and the closure is never larger than the sets of subset gcds of each size.
+The triangular divisor matrix of pairwise gcds ties g_{i+1} to the norm of
+its i-th power, and the full gcd matrix carries the dimension data of the
+fixed-matrix algebra.  All arithmetic is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -92,32 +105,44 @@ class HVector:
         return self.values[i - 1]
 
 
-def g_vector(lam: Partition) -> GVector:
-    """All g_i of a partition, by incremental absorption of parts.
+def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """h_1..h_s from the gcd-closure of the parts (see the module docstring)."""
+    multiplicity: dict[int, int] = {}
+    for part in parts:
+        multiplicity[part] = multiplicity.get(part, 0) + 1
+    closure: set[int] = set()
+    for part in multiplicity:
+        closure |= {math.gcd(part, v) for v in closure}
+        closure.add(part)
+    h = [0] * (len(parts) + 1)
+    below: list[tuple[int, int]] = []
+    counted = multiplicity.items()
+    for v in sorted(closure):
+        share = v - sum([f for w, f in below if not v % w])
+        below.append((v, share))
+        h[sum([m for part, m in counted if not part % v])] += share
+    return tuple(h[1:])
 
-    A table per subset size maps each realizable gcd value to the number of
-    subsets realizing it; absorbing one part updates the tables in place of
-    ever enumerating the 2^s subsets (the literal enumeration lives in
-    :func:`partinv.oracles.brute_g` and must agree).
+
+def _g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
+    """g_i = sum_j C(j, i) h_j, the inverse of :func:`h_vector`."""
+    g = [0] * len(h)
+    for j, h_j in enumerate(h, start=1):
+        if h_j:
+            term = j * h_j  # C(j, i) * h_j, walked up from i = 1
+            for i in range(1, j + 1):
+                g[i - 1] += term
+                term = term * (j - i) // (i + 1)
+    return tuple(g)
+
+
+def g_vector(lam: Partition) -> GVector:
+    """All g_i of a partition, from the h-vector of its gcd-closure.
+
+    Never enumerates the 2^s subsets; the literal enumeration lives in
+    :func:`partinv.oracles.brute_g` and must agree.
     """
-    s = lam.s
-    levels: list[dict[int, int]] = [{} for _ in range(s + 1)]
-    seen = 0
-    for part in lam.parts:
-        for size in range(seen, 0, -1):
-            grown = levels[size + 1]
-            for value, count in levels[size].items():
-                key = math.gcd(value, part)
-                grown[key] = grown.get(key, 0) + count
-        ones = levels[1]
-        ones[part] = ones.get(part, 0) + 1
-        seen += 1
-    return GVector(
-        tuple(
-            sum(value * count for value, count in levels[size].items())
-            for size in range(1, s + 1)
-        )
-    )
+    return GVector(_g_from_h(_closure_h(lam.parts)))
 
 
 def h_vector(g: GVector) -> HVector:

@@ -231,7 +231,7 @@ GTweak = Callable[[Partition, tuple[int, ...]], tuple[int, ...]]
 
 
 def check_g_vector_vs_brute(n_max: int, fault_hook: GTweak | None = None) -> FamilyResult:
-    """g-vector (incremental) against literal subset enumeration.
+    """g-vector (from the gcd-closure) against literal subset enumeration.
 
     ``fault_hook`` exists for testing the reporting machinery only: it may
     perturb the computed vector before comparison.
@@ -430,7 +430,7 @@ def check_append_part(n_max: int) -> FamilyResult:
 
 def _prime_above(n: int) -> int:
     candidate = n + 1
-    while any(candidate % d == 0 for d in range(2, int(candidate**0.5) + 1)):
+    while any(candidate % d == 0 for d in range(2, math.isqrt(candidate) + 1)):
         candidate += 1
     return max(candidate, 2)
 
@@ -479,7 +479,7 @@ def _prime_factors(m: int) -> set[int]:
 
 
 def _is_prime(m: int) -> bool:
-    return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 def check_concat_classes(n_max: int, sample_cap: int = 300) -> FamilyResult:

@@ -59,6 +59,20 @@ class TestClassify:
                 for c in grouped.classes:
                     assert all(g_vector(m).values == c.key for m in c.members)
 
+    def test_csv_rows_match_class_ids(self):
+        import csv
+        import io
+
+        for n in range(1, 15):
+            for s in range(1, n + 1):
+                grouped = classify(s, n)
+                rows = list(csv.reader(io.StringIO(grouped.to_csv())))[1:]
+                assert [r[0] for r in rows] == [str(m) for m in enumerate_partitions(s, n)]
+                for parts_text, g_text, class_id in rows:
+                    cls = grouped.classes[int(class_id)]
+                    assert parts_text in {str(m) for m in cls.members}
+                    assert g_text == ",".join(str(v) for v in cls.key)
+
     def test_keys_sorted_members_in_enumeration_order(self):
         grouped = classify(4, 16)
         keys = [c.key for c in grouped.classes]

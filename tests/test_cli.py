@@ -1,10 +1,19 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from partinv import EquivalenceClasses, Partition, VerificationReport, classify, g_vector
+from partinv import (
+    EquivalenceClasses,
+    FieldSpec,
+    Partition,
+    VerificationReport,
+    classify,
+    g_vector,
+    wedderburn,
+)
 from partinv.cli import main
 
 
@@ -108,6 +117,32 @@ class TestCompare:
         assert "closed" in err
 
 
+class TestLargeParts:
+    # 44 digits; its smallest prime factor is above 10**17, so any path that
+    # factorizes or sieves up to the part would not finish.
+    BIG = (2**89 - 1) * (10**17 + 3)
+
+    @pytest.mark.parametrize("command", ["compare", "iso", "morita"])
+    def test_decisions_answer_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, command, f"{self.BIG},1", str(self.BIG + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        if command != "iso":
+            assert f"simple blocks: {self.BIG} vs {self.BIG + 1}" in out
+
+    def test_invariants_answer_at_once(self):
+        start = time.perf_counter()
+        assert g_vector(Partition((self.BIG, self.BIG, 6))).values == (
+            2 * self.BIG + 6,
+            self.BIG + 2,
+            1,
+        )
+        shape = wedderburn(Partition((self.BIG, 1)), FieldSpec())
+        assert shape.multiplicities == (self.BIG - 1, 1)
+        assert time.perf_counter() - start < 1
+
+
 class TestIsoMoritaSubcommands:
     def test_iso(self, capsys):
         code, out, _ = run(capsys, "iso", "17,11,8,2", "17,11,6,4")
@@ -147,6 +182,18 @@ class TestClassify:
     def test_precondition(self, capsys):
         code, _, err = run(capsys, "classify", "4", "3")
         assert code == 2
+
+    def test_miscount_is_a_consistency_error(self, capsys, monkeypatch):
+        import importlib
+
+        # The package re-exports the function under the module's name.
+        classify_module = importlib.import_module("partinv.classify")
+        real = classify_module.count_partitions
+        monkeypatch.setattr(classify_module, "count_partitions", lambda s, n: real(s, n) + 1)
+        code, out, err = run(capsys, "count", "3", "7")
+        assert code == 3
+        assert out == ""
+        assert "expected 5" in err
 
     def test_resource_bound(self, capsys):
         code, _, err = run(capsys, "classify", "40", "400")

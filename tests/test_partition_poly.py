@@ -11,6 +11,7 @@ from partinv import (
     equivalent,
     g_vector,
     h_vector,
+    invariants,
     root_union,
     scale,
 )
@@ -135,6 +136,17 @@ class TestEquivalence:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             polys = {epsilon(lam) for lam in enumerate_partitions(2, p)}
             assert polys == {PartitionPolynomial((-p, 1))}
+
+
+class TestInvariantsRecord:
+    def test_closure_h_is_the_inclusion_exclusion_of_g(self):
+        for lam in all_partitions(18):
+            record = invariants(lam)
+            assert record.partition == lam
+            assert record.g == g_vector(lam)
+            assert record.h == h_vector(record.g)
+            assert record.polynomial == epsilon(lam)
+            assert invariants(record) is record
 
 
 class TestEigenvalueCount:

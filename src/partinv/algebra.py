@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
+from .gcd_symm import is_prime
 from .partition_poly import Invariants, invariants
 from .partitions import Partition
 
@@ -239,7 +240,7 @@ class FieldSpec:
         p = self.characteristic
         if p == 0:
             return
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not is_prime(p):
             raise InputError(f"characteristic must be 0 or prime, got {p}")
 
 

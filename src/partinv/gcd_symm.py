@@ -29,19 +29,11 @@ fixed-matrix algebra.  All arithmetic is exact; no floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, InputError
+from .errors import BoundExceededError, ConsistencyError, InputError
 from .partitions import Partition
-
-
-def gcd_product(a: int, b: int) -> int:
-    """gcd of two naturals; the idempotent product.  ``gcd(0, a) == a``."""
-    if a < 0 or b < 0:
-        raise InputError(f"gcd product is defined on naturals, got {a}, {b}")
-    return math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -207,20 +199,77 @@ def gcd_matrix(lam: Partition) -> GcdMatrix:
     )
 
 
-def power_norm(lam: Partition, i: int) -> int:
-    """Norm of the i-th power of the triangular divisor matrix.
+def power_norm(lam: Partition) -> tuple[int, ...]:
+    """Norms of the powers D, D^2, ..., D^(s-1) of the triangular divisor matrix.
 
-    The entries of the power are sums of monomials indexed by strict index
-    chains j_0 < j_1 < ... < j_i; evaluating a monomial collapses repeated
-    factors (the product is idempotent), leaving the gcd of the parts on the
-    chain.  The norm sums these over all chains.  Deliberately not computed
-    as g_{i+1}: that equality is a theorem, exercised by the test suite.
+    An entry of D^i is a sum of monomials indexed by strict index chains
+    j_0 < j_1 < ... < j_i; evaluating a monomial collapses repeated factors
+    (the product is idempotent), leaving the gcd of the entries on the chain.
+    One pass over the entries counts, for each end index and chain length,
+    the chains by that gcd; the i-th norm sums gcd times count over chains
+    of length i.  Deliberately not computed as g_{i+1}: that equality is a
+    theorem, exercised by the test suite.
     """
-    if not 1 <= i <= lam.s - 1:
-        raise InputError(f"chain length {i} outside 1..{lam.s - 1} for {lam}")
-    # combinations() walks index chains in order; equal parts still belong to
-    # distinct chain positions, so duplicates are wanted.
-    return sum(itertools.starmap(math.gcd, itertools.combinations(lam.parts, i + 1)))
+    entries = divisor_matrix(lam).entries
+    norms = [0] * (len(entries) - 1)
+    # ending[k][t]: chains of t + 1 steps ending at index k, counted by gcd.
+    ending: list[list[dict[int, int]]] = []
+    for k in range(len(entries)):
+        here: list[dict[int, int]] = [{} for _ in range(k)]
+        for j in range(k):
+            entry = entries[j][k]
+            here[0][entry] = here[0].get(entry, 0) + 1
+            for t, chains in enumerate(ending[j], start=1):
+                longer = here[t]
+                for value, count in chains.items():
+                    joined = math.gcd(value, entry)
+                    longer[joined] = longer.get(joined, 0) + count
+        for t, chains in enumerate(here):
+            norms[t] += sum([value * count for value, count in chains.items()])
+        ending.append(here)
+    return tuple(norms)
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base in _WITNESSES
+# (Sorenson and Webster 2015): Miller-Rabin over them is exact below it.
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin over the prime bases 2..41.
+
+    Exact for every m below psi_13 = 3317044064679887385961981; larger m is
+    refused with :class:`BoundExceededError` rather than answered by chance.
+    """
+    if m >= _WITNESS_BOUND:
+        raise BoundExceededError(f"primality is decided only below {_WITNESS_BOUND}, got {m}")
+    if m < 2 or any(m % p == 0 for p in _WITNESSES):
+        return m in _WITNESSES
+    odd, halvings = m - 1, 0
+    while odd % 2 == 0:
+        odd, halvings = odd // 2, halvings + 1
+    # m is a strong probable prime to a base b iff b^odd = 1 or
+    # b^(odd * 2^k) = -1 (mod m) for some 0 <= k < halvings.
+    return not any(
+        pow(b, odd, m) != 1 and all(pow(b, odd << k, m) != m - 1 for k in range(halvings))
+        for b in _WITNESSES
+    )
+
+
+def _prime_factors(m: int) -> set[int]:
+    """The distinct prime factors of m >= 1, by trial division."""
+    factors = set()
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            factors.add(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        factors.add(m)
+    return factors
 
 
 def euler_phi(m: int) -> int:
@@ -228,16 +277,8 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise InputError(f"totient needs a positive integer, got {m}")
     result = m
-    remaining = m
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            result -= result // p
-            while remaining % p == 0:
-                remaining //= p
-        p += 1
-    if remaining > 1:
-        result -= result // remaining
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 

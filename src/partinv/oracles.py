@@ -9,6 +9,7 @@ implementations over exhaustive sweeps and report every mismatch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,8 +18,18 @@ from typing import Callable, Iterator, NamedTuple
 from .algebra import Permutation, canonical_permutation, dimension, pair_orbits, perm_matrix
 from .classify import classify
 from .errors import BoundExceededError, InputError
-from .gcd_symm import HVector, g_vector, gcd_matrix, gcd_matrix_det_and_bounds, h_vector, power_norm
-from .partition_poly import distinct_eigenvalue_count, epsilon, equivalent
+from .gcd_symm import (
+    HVector,
+    _prime_factors,
+    divisor_matrix,
+    g_vector,
+    gcd_matrix,
+    gcd_matrix_det_and_bounds,
+    h_vector,
+    is_prime,
+    power_norm,
+)
+from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
 from .partitions import Partition, concat, enumerate_partitions, scale
 
 
@@ -64,7 +75,7 @@ def brute_g(lam: Partition, i: int) -> int:
 
     ``combinations`` walks the index subsets in order (equal parts are kept
     apart by position), so this is the raw definition with no incremental
-    shortcut; it is the oracle for both g_vector and power_norm.
+    shortcut; it is the oracle for g_vector, which power_norm must match.
     """
     if not 1 <= i <= lam.s:
         raise InputError(f"subset size {i} outside 1..{lam.s} for {lam}")
@@ -227,165 +238,142 @@ def _all_partitions(n_max: int) -> Iterator[Partition]:
             yield from enumerate_partitions(s, n)
 
 
+Outcome = Failure | None
+Outcomes = Iterator[Outcome]
+
+
+def _family(name: str):
+    """Make a check family of a sweep that yields one outcome per instance:
+    ``None`` where the instance passes, its :class:`Failure` where it fails."""
+
+    def decorate(sweep: Callable[..., Outcomes]) -> Callable[..., FamilyResult]:
+        @functools.wraps(sweep)
+        def check(*args, **kwargs) -> FamilyResult:
+            outcomes = list(sweep(*args, **kwargs))
+            failures = tuple(f for f in outcomes if f is not None)
+            return FamilyResult(name, len(outcomes), failures)
+
+        return check
+
+    return decorate
+
+
+def _compare(lam: Partition, expected, actual) -> Outcome:
+    # Formatted only on failure: a sweep passes tens of thousands of instances.
+    return None if actual == expected else Failure(str(lam), str(expected), str(actual))
+
+
 GTweak = Callable[[Partition, tuple[int, ...]], tuple[int, ...]]
 
 
-def check_g_vector_vs_brute(n_max: int, fault_hook: GTweak | None = None) -> FamilyResult:
+@_family("g-vector vs subset enumeration")
+def check_g_vector_vs_brute(n_max: int, fault_hook: GTweak | None = None) -> Outcomes:
     """g-vector (from the gcd-closure) against literal subset enumeration.
 
     ``fault_hook`` exists for testing the reporting machinery only: it may
     perturb the computed vector before comparison.
     """
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
         expected = tuple(brute_g(lam, i) for i in range(1, lam.s + 1))
         actual = g_vector(lam).values
         if fault_hook is not None:
             actual = fault_hook(lam, actual)
-        if actual != expected:
-            failures.append(Failure(str(lam), str(expected), str(actual)))
-    return FamilyResult("g-vector vs subset enumeration", instances, tuple(failures))
+        yield _compare(lam, expected, actual)
 
 
-def check_power_norm_vs_g(n_max: int) -> FamilyResult:
+@_family("power norm vs g-vector")
+def check_power_norm_vs_g(n_max: int) -> Outcomes:
     """Divisor-matrix power norms against the shifted g-vector."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
         g = g_vector(lam)
-        for i in range(1, lam.s):
-            instances += 1
-            actual = power_norm(lam, i)
-            if actual != g[i + 1]:
-                failures.append(Failure(f"{lam} i={i}", str(g[i + 1]), str(actual)))
-    return FamilyResult("power norm vs g-vector", instances, tuple(failures))
+        for i, norm in enumerate(power_norm(lam), start=1):
+            yield None if norm == g[i + 1] else Failure(f"{lam} i={i}", str(g[i + 1]), str(norm))
 
 
-def check_h_vector_vs_roots(n_max: int) -> FamilyResult:
+@_family("h-vector vs root counting")
+def check_h_vector_vs_roots(n_max: int) -> Outcomes:
     """Inclusion-exclusion h-vector against direct root-of-unity counting."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
         expected = eigenvalue_multiplicities(lam).values
-        actual = h_vector(g_vector(lam)).values
-        if actual != expected:
-            failures.append(Failure(str(lam), str(expected), str(actual)))
-    return FamilyResult("h-vector vs root counting", instances, tuple(failures))
+        yield _compare(lam, expected, h_vector(g_vector(lam)).values)
 
 
-def check_inclusion_exclusion(n_max: int) -> FamilyResult:
+@_family("inclusion-exclusion union size")
+def check_inclusion_exclusion(n_max: int) -> Outcomes:
     """|union of root groups| vs alternating g-sum vs the eigenvalue count."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
         expected = len(root_union(lam))
-        g = g_vector(lam)
-        alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
-        counted = distinct_eigenvalue_count(lam)
-        if not expected == alternating == counted:
-            failures.append(
-                Failure(str(lam), str(expected), f"alt={alternating} count={counted}")
-            )
-    return FamilyResult("inclusion-exclusion union size", instances, tuple(failures))
+        record = invariants(lam)
+        alternating = sum(v if i % 2 else -v for i, v in enumerate(record.g, start=1))
+        counted = distinct_eigenvalue_count(record)
+        yield None if expected == alternating == counted else Failure(
+            str(lam), str(expected), f"alt={alternating} count={counted}"
+        )
 
 
-def check_orbit_count_vs_gcd_sum(n_max: int) -> FamilyResult:
+@_family("orbit count vs gcd sum")
+def check_orbit_count_vs_gcd_sum(n_max: int) -> Outcomes:
     """Pair-orbit walking against the gcd-matrix total and the dimension."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
-        sigma = canonical_permutation(lam)
-        walked = pair_orbits(sigma).count
+        walked = pair_orbits(canonical_permutation(lam)).count
         total = gcd_matrix(lam).total()
         dim = dimension(lam)
-        if not walked == total == dim:
-            failures.append(Failure(str(lam), str(total), f"walk={walked} dim={dim}"))
-    return FamilyResult("orbit count vs gcd sum", instances, tuple(failures))
+        yield None if walked == total == dim else Failure(
+            str(lam), str(total), f"walk={walked} dim={dim}"
+        )
 
 
-def check_commutant_dimension(n_max: int) -> FamilyResult:
+@_family("commutant nullity vs gcd sum")
+def check_commutant_dimension(n_max: int) -> Outcomes:
     """Exact nullity of the commutation system against the gcd-matrix total."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
-        sigma = canonical_permutation(lam)
-        actual = commutant_dimension(sigma, max_degree=n_max)
-        expected = gcd_matrix(lam).total()
-        if actual != expected:
-            failures.append(Failure(str(lam), str(expected), str(actual)))
-    return FamilyResult("commutant nullity vs gcd sum", instances, tuple(failures))
+        actual = commutant_dimension(canonical_permutation(lam), max_degree=n_max)
+        yield _compare(lam, gcd_matrix(lam).total(), actual)
 
 
-def check_block_sum_rules(n_max: int) -> FamilyResult:
+@_family("block multiplicity sum rules")
+def check_block_sum_rules(n_max: int) -> Outcomes:
     """sum(i*h_i) = n, sum(i^2*h_i) = dimension, h_s = g_s, and
     sum(h_i) equals the alternating g-sum."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        instances += 1
         g = g_vector(lam)
         h = h_vector(g)
         weighted = sum(i * v for i, v in enumerate(h.values, start=1))
         squares = sum(i * i * v for i, v in enumerate(h.values, start=1))
         alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
         dim = dimension(lam)
-        if (
-            weighted != lam.n
-            or squares != dim
-            or h[h.s] != g[g.s]
-            or sum(h.values) != alternating
-        ):
-            failures.append(
-                Failure(
-                    str(lam),
-                    f"n={lam.n} dim={dim} g_s={g[g.s]} alt={alternating}",
-                    f"sum_ih={weighted} sum_iih={squares} h_s={h[h.s]} sum_h={sum(h.values)}",
-                )
-            )
-    return FamilyResult("block multiplicity sum rules", instances, tuple(failures))
+        passed = (weighted, squares, h[h.s], sum(h.values)) == (lam.n, dim, g[g.s], alternating)
+        yield None if passed else Failure(
+            str(lam),
+            f"n={lam.n} dim={dim} g_s={g[g.s]} alt={alternating}",
+            f"sum_ih={weighted} sum_iih={squares} h_s={h[h.s]} sum_h={sum(h.values)}",
+        )
 
 
-def check_determinant_bounds(n_max: int) -> FamilyResult:
+@_family("gcd determinant bounds")
+def check_determinant_bounds(n_max: int) -> Outcomes:
     """For pairwise distinct parts: totient product <= det <= part product - s!/2."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
         result = gcd_matrix_det_and_bounds(lam)
         if not result.distinct:
             continue
-        instances += 1
-        if not (0 < result.determinant and result.lower <= result.determinant <= result.upper):
-            failures.append(
-                Failure(
-                    str(lam),
-                    f"{result.lower} <= det <= {result.upper}",
-                    str(result.determinant),
-                )
-            )
-    return FamilyResult("gcd determinant bounds", instances, tuple(failures))
+        passed = 0 < result.determinant and result.lower <= result.determinant <= result.upper
+        yield None if passed else Failure(
+            str(lam), f"{result.lower} <= det <= {result.upper}", str(result.determinant)
+        )
 
 
-def check_scaling_invariance(n_max: int, d_max: int = 4) -> FamilyResult:
+@_family("scaling invariance")
+def check_scaling_invariance(n_max: int, d_max: int = 4) -> Outcomes:
     """g(d*lam) = d*g(lam) elementwise and identical polynomials."""
-    instances = 0
-    failures = []
     for lam in _all_partitions(n_max):
-        base_g = g_vector(lam).values
-        base_eps = epsilon(lam)
+        base = invariants(lam)
         for d in range(2, d_max + 1):
-            instances += 1
-            scaled = scale(d, lam)
-            got_g = g_vector(scaled).values
-            want_g = tuple(d * v for v in base_g)
-            if got_g != want_g or epsilon(scaled) != base_eps:
-                failures.append(Failure(f"{lam} d={d}", str(want_g), str(got_g)))
-    return FamilyResult("scaling invariance", instances, tuple(failures))
+            scaled = invariants(scale(d, lam))
+            want_g = tuple(d * v for v in base.g.values)
+            got_g = scaled.g.values
+            passed = got_g == want_g and scaled.polynomial == base.polynomial
+            yield None if passed else Failure(f"{lam} d={d}", str(want_g), str(got_g))
 
 
 def _equivalent_pairs(s: int, n: int) -> Iterator[tuple[Partition, Partition]]:
@@ -394,15 +382,18 @@ def _equivalent_pairs(s: int, n: int) -> Iterator[tuple[Partition, Partition]]:
             yield pair
 
 
-def check_append_part(n_max: int) -> FamilyResult:
+def _appended(lam: Partition, m: int) -> Partition:
+    return concat(lam, Partition((m,)))
+
+
+@_family("append-part equivalence")
+def check_append_part(n_max: int) -> Outcomes:
     """Appending a part preserves (non-)equivalence when its gcd pattern matches.
 
     For every equivalent pair, the appended pair must stay equivalent for
     m = 1 and for an m coprime to every part (both make the gcd multisets
     all ones); inequivalent pairs must stay inequivalent.
     """
-    instances = 0
-    failures = []
     for n in range(2, n_max + 1):
         for s in range(1, n + 1):
             grouped = classify(s, n)
@@ -410,29 +401,20 @@ def check_append_part(n_max: int) -> FamilyResult:
             for cls in grouped.classes:
                 for lam, mu in itertools.combinations(cls.members, 2):
                     for m in (1, coprime_m):
-                        instances += 1
-                        bigger = (concat(lam, Partition((m,))), concat(mu, Partition((m,))))
-                        if not equivalent(*bigger):
-                            failures.append(
-                                Failure(f"{lam} ~ {mu} m={m}", "equivalent", "inequivalent")
-                            )
+                        kept = equivalent(_appended(lam, m), _appended(mu, m))
+                        yield None if kept else Failure(
+                            f"{lam} ~ {mu} m={m}", "equivalent", "inequivalent"
+                        )
             representatives = [cls.members[0] for cls in grouped.classes]
             for lam, mu in itertools.combinations(representatives, 2):
-                instances += 1
-                m = coprime_m
-                bigger = (concat(lam, Partition((m,))), concat(mu, Partition((m,))))
-                if equivalent(*bigger):
-                    failures.append(
-                        Failure(f"{lam} !~ {mu} m={m}", "inequivalent", "equivalent")
-                    )
-    return FamilyResult("append-part equivalence", instances, tuple(failures))
+                merged = equivalent(_appended(lam, coprime_m), _appended(mu, coprime_m))
+                yield Failure(
+                    f"{lam} !~ {mu} m={coprime_m}", "inequivalent", "equivalent"
+                ) if merged else None
 
 
 def _prime_above(n: int) -> int:
-    candidate = n + 1
-    while any(candidate % d == 0 for d in range(2, math.isqrt(candidate) + 1)):
-        candidate += 1
-    return max(candidate, 2)
+    return next(filter(is_prime, itertools.count(n + 1)))
 
 
 def _coprime_partner_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition] | None:
@@ -446,13 +428,8 @@ def _coprime_partner_pair(lam: Partition, mu: Partition) -> tuple[Partition, Par
     forbidden = set()
     for part in lam.parts + mu.parts:
         forbidden |= _prime_factors(part)
-    fresh = []
-    candidate = 2
-    while len(fresh) < 2:
-        if _is_prime(candidate) and candidate not in forbidden:
-            fresh.append(candidate)
-        candidate += 1
-    p1, p2 = fresh
+    fresh = (p for p in filter(is_prime, itertools.count(2)) if p not in forbidden)
+    p1, p2 = itertools.islice(fresh, 2)
     total = p1 + p2
     gamma = Partition.of(p2, p1)
     for k in range(1, total // 2 + 1):
@@ -464,80 +441,49 @@ def _coprime_partner_pair(lam: Partition, mu: Partition) -> tuple[Partition, Par
     return None
 
 
-def _prime_factors(m: int) -> set[int]:
-    factors = set()
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            factors.add(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        factors.add(m)
-    return factors
-
-
-def _is_prime(m: int) -> bool:
-    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
-
-
-def check_concat_classes(n_max: int, sample_cap: int = 300) -> FamilyResult:
+@_family("concatenation of equivalent pairs")
+def check_concat_classes(n_max: int, sample_cap: int = 300) -> Outcomes:
     """Concatenating equivalent pairs with constant cross-gcd stays equivalent.
 
     For each equivalent pair, a partner equivalent pair with fully coprime
     cross parts is constructed (constant cross-gcd 1) and the concatenations
     are compared; the variant scaled by 3 exercises constant cross-gcd 3.
     """
-    instances = 0
-    failures = []
     sampled = 0
     for n1 in range(2, n_max + 1):
         for s1 in range(2, n1 + 1):
             for lam, mu in _equivalent_pairs(s1, n1):
                 if sampled >= sample_cap:
-                    return FamilyResult(
-                        "concatenation of equivalent pairs", instances, tuple(failures)
-                    )
+                    return
                 partner = _coprime_partner_pair(lam, mu)
                 if partner is None:
                     continue
                 gamma, delta = partner
                 sampled += 1
                 for d in (1, 3):
-                    instances += 1
                     left = concat(scale(d, lam), scale(d, gamma))
                     right = concat(scale(d, mu), scale(d, delta))
-                    if not equivalent(left, right):
-                        failures.append(
-                            Failure(
-                                f"({lam};{gamma}) vs ({mu};{delta}) d={d}",
-                                "equivalent",
-                                "inequivalent",
-                            )
-                        )
-    return FamilyResult("concatenation of equivalent pairs", instances, tuple(failures))
+                    yield None if equivalent(left, right) else Failure(
+                        f"({lam};{gamma}) vs ({mu};{delta}) d={d}", "equivalent", "inequivalent"
+                    )
 
 
-def check_multiset_sufficiency(n_max: int) -> FamilyResult:
+@_family("gcd multiset sufficiency")
+def check_multiset_sufficiency(n_max: int) -> Outcomes:
     """Equal off-diagonal gcd multisets force equivalence."""
-    instances = 0
-    failures = []
     for n in range(2, n_max + 1):
         for s in range(2, n + 1):
-            pool = list(enumerate_partitions(s, n))
             keyed = [
-                (tuple(sorted(itertools.starmap(math.gcd, itertools.combinations(lam.parts, 2)))), lam)
-                for lam in pool
+                (tuple(sorted(divisor_matrix(lam).upper_entries())), lam)
+                for lam in enumerate_partitions(s, n)
             ]
             keyed.sort(key=lambda kv: kv[0])
             for _, group in itertools.groupby(keyed, key=lambda kv: kv[0]):
                 members = [lam for _, lam in group]
                 for lam, mu in itertools.combinations(members, 2):
-                    instances += 1
-                    if not equivalent(lam, mu):
-                        failures.append(Failure(f"{lam} vs {mu}", "equivalent", "inequivalent"))
-    return FamilyResult("gcd multiset sufficiency", instances, tuple(failures))
+                    yield None if equivalent(lam, mu) else Failure(
+                        f"{lam} vs {mu}", "equivalent", "inequivalent"
+                    )
 
 
 def verify_all(

@@ -104,11 +104,6 @@ def epsilon(lam: Partition | Invariants) -> PartitionPolynomial:
     return invariants(lam).polynomial
 
 
-def epsilon_eval(p: PartitionPolynomial, x: int) -> int:
-    """Evaluate at an integer point, exactly."""
-    return p(x)
-
-
 def equivalent(lam: Partition | Invariants, mu: Partition | Invariants) -> bool:
     """Whether the two partitions have identical polynomials.
 

@@ -74,6 +74,18 @@ class TestAnalyze:
         assert code == 2
         assert "prime" in err
 
+    def test_characteristic_above_the_primality_bound_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "analyze", "4,2", "--char", str(2**127 - 1))
+        assert time.perf_counter() - start < 1
+        assert code == 4
+        assert "primality" in err
+
+    def test_large_prime_characteristic(self, capsys):
+        code, out, _ = run(capsys, "analyze", "4,2", "--char", "1000000007")
+        assert code == 0
+        assert "characteristic: 1000000007" in out
+
 
 class TestCompare:
     def test_equivalent_and_isomorphic(self, capsys):

@@ -1,4 +1,5 @@
-"""The library promises exact arithmetic: no floating point anywhere."""
+"""The library promises exact arithmetic, with no floating point anywhere,
+and checks that ``python -O`` cannot strip, so no ``assert`` statements."""
 
 import re
 from pathlib import Path
@@ -6,15 +7,23 @@ from pathlib import Path
 import partinv
 
 FLOAT_PATTERNS = re.compile(r"\*\*\s*0?\.5|math\.sqrt|\bfloat\(")
+ASSERT_STATEMENT = re.compile(r"^\s*assert\b")
 
 
-def test_no_floating_point_in_library_sources():
+def _offending_lines(pattern):
     sources = sorted(Path(partinv.__file__).parent.glob("*.py"))
     assert sources
-    offending = [
+    return [
         f"{path.name}:{number}: {line.strip()}"
         for path in sources
         for number, line in enumerate(path.read_text().splitlines(), start=1)
-        if FLOAT_PATTERNS.search(line)
+        if pattern.search(line)
     ]
-    assert offending == []
+
+
+def test_no_floating_point_in_library_sources():
+    assert _offending_lines(FLOAT_PATTERNS) == []
+
+
+def test_no_assert_statements_in_library_sources():
+    assert _offending_lines(ASSERT_STATEMENT) == []

@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import partinv.gcd_symm
 from partinv import (
+    BoundExceededError,
     ConsistencyError,
+    DivisorMatrix,
     GVector,
-    InputError,
     Partition,
     divisor_matrix,
     euler_phi,
     g_vector,
     gcd_matrix,
     gcd_matrix_det_and_bounds,
-    gcd_product,
     h_vector,
+    is_prime,
     power_norm,
     scale,
     truncate,
@@ -27,25 +29,6 @@ positives = st.integers(min_value=1, max_value=10**6)
 
 
 class TestGcdProduct:
-    def test_plain(self):
-        assert gcd_product(8, 2) == 2
-
-    def test_zero_is_neutral(self):
-        assert gcd_product(0, 7) == 7
-        assert gcd_product(7, 0) == 7
-
-    @given(naturals)
-    def test_idempotent(self, a):
-        assert gcd_product(a, a) == a
-
-    @given(naturals, naturals)
-    def test_addition_is_absorbed(self, a, b):
-        assert gcd_product(a + b, a) == gcd_product(b, a)
-
-    @given(naturals, naturals, st.integers(min_value=1, max_value=50))
-    def test_multiple_shift(self, a, b, m):
-        assert gcd_product(m * a + b, a) == gcd_product(a, b)
-
     @given(st.lists(naturals, min_size=1, max_size=6), naturals)
     def test_chain_distributes(self, chain, b):
         left = math.gcd(*chain, b)
@@ -53,10 +36,6 @@ class TestGcdProduct:
         for a in chain:
             right = math.gcd(right, math.gcd(a, b))
         assert left == right
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            gcd_product(-1, 3)
 
 
 class TestGVector:
@@ -177,24 +156,30 @@ class TestMatrices:
 
 class TestPowerNorm:
     def test_first_power(self):
-        assert power_norm(Partition((8, 2, 1)), 1) == 4
+        assert power_norm(Partition((8, 2, 1)))[0] == 4
 
     def test_full_chain(self):
-        assert power_norm(Partition((8, 2, 1)), 2) == 1
+        assert power_norm(Partition((8, 2, 1))) == (4, 1)
+        assert power_norm(Partition((12, 8, 4))) == (12, 4)
 
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            power_norm(Partition((9,)), 1)
-        with pytest.raises(InputError):
-            power_norm(Partition((8, 2, 1)), 3)
-        with pytest.raises(InputError):
-            power_norm(Partition((8, 2, 1)), 0)
+    def test_single_part(self):
+        assert power_norm(Partition((9,))) == ()
 
     def test_matches_shifted_g_vector(self):
         for lam in all_partitions(16):
-            g = g_vector(lam)
-            for i in range(1, lam.s):
-                assert power_norm(lam, i) == g[i + 1], (lam, i)
+            assert power_norm(lam) == g_vector(lam).values[1:], lam
+
+    def test_reads_the_divisor_matrix(self, monkeypatch):
+        lam = Partition((12, 8, 4))
+        plain = power_norm(lam)
+
+        def perturbed(mu):
+            entries = [list(row) for row in divisor_matrix(mu).entries]
+            entries[0][1] += 1
+            return DivisorMatrix(tuple(tuple(row) for row in entries))
+
+        monkeypatch.setattr(partinv.gcd_symm, "divisor_matrix", perturbed)
+        assert power_norm(lam) != plain
 
 
 def _cofactor_det(m):
@@ -253,3 +238,31 @@ class TestEulerPhi:
     @given(st.integers(min_value=1, max_value=3000))
     def test_counts_coprime_residues(self, m):
         assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+class TestIsPrime:
+    def test_agrees_with_a_sieve_below_10_to_the_5(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+        assert [m for m in range(-3, limit) if is_prime(m)] == [
+            m for m in range(limit) if sieve[m]
+        ]
+
+    def test_strong_pseudoprime_to_bases_up_to_23(self):
+        assert not is_prime(3825123056546413051)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**64 - 59)
+        assert not is_prime((2**61 - 1) * (2**19 - 1))
+
+    def test_refuses_psi_13_and_above(self):
+        psi_13 = 3317044064679887385961981
+        assert not is_prime(psi_13 - 1)
+        with pytest.raises(BoundExceededError):
+            is_prime(psi_13)
+        with pytest.raises(BoundExceededError):
+            is_prime(2**127 - 1)

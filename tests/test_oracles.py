@@ -151,6 +151,24 @@ class TestVerifyAll:
         assert len(report.families) >= 8
         assert all(f.instances > 0 for f in report.families)
 
+    def test_family_table(self):
+        report = verify_all(12)
+        assert report.passed
+        assert [(f.family, f.instances) for f in report.families] == [
+            ("g-vector vs subset enumeration", 271),
+            ("power norm vs g-vector", 940),
+            ("h-vector vs root counting", 271),
+            ("inclusion-exclusion union size", 271),
+            ("orbit count vs gcd sum", 271),
+            ("commutant nullity vs gcd sum", 271),
+            ("block multiplicity sum rules", 271),
+            ("gcd determinant bounds", 69),
+            ("scaling invariance", 813),
+            ("append-part equivalence", 505),
+            ("concatenation of equivalent pairs", 80),
+            ("gcd multiset sufficiency", 139),
+        ]
+
     def test_empty_sweep(self):
         report = verify_all(0)
         assert report.passed

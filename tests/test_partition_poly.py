@@ -7,7 +7,6 @@ from partinv import (
     PartitionPolynomial,
     distinct_eigenvalue_count,
     epsilon,
-    epsilon_eval,
     equivalent,
     g_vector,
     h_vector,
@@ -80,14 +79,14 @@ class TestRendering:
 
 class TestEvaluation:
     def test_at_one(self):
-        assert epsilon_eval(epsilon(Partition((4, 1))), 1) == -4
+        assert epsilon(Partition((4, 1)))(1) == -4
 
     def test_constant(self):
         p = epsilon(Partition((12,)))
-        assert all(epsilon_eval(p, x) == 1 for x in (-5, 0, 1, 7))
+        assert all(p(x) == 1 for x in (-5, 0, 1, 7))
 
     def test_square_at_one(self):
-        assert epsilon_eval(epsilon(Partition((4, 4, 1))), 1) == 4
+        assert epsilon(Partition((4, 4, 1)))(1) == 4
 
     def test_horner_matches_naive(self):
         p = PartitionPolynomial((4, -3, 1))

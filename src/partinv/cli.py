@@ -29,6 +29,11 @@ from .partition_poly import Invariants, PartitionPolynomial, equivalent, invaria
 from .partitions import Partition, count_partitions, parse_partition
 
 MAX_CLASSIFY_SIZE = 200_000
+# Tables are also refused where s*n is above this, which bounds the counting
+# work (under s*n steps) and each class key (s integers of about s + log2(n)
+# bits), and where s*|P(s,n)|, the parts a table holds, is above it; P(27,77)
+# holds 5 392 386.
+MAX_TABLE_CELLS = 6_000_000
 MAX_VERIFY_N = 25
 MAX_MATRIX_CAP = 16
 
@@ -203,13 +208,35 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     return 0
 
 
+def _size_lower_bound(s: int, excess: int) -> int:
+    # |P(s, s+r)| is the number of partitions of r into at most s parts, so
+    # at least the number into at most min(s, 3) parts: 1, floor(r/2)+1 or
+    # round((r+3)^2/12), whose fraction is never a half.
+    if s == 1:
+        return 1
+    if s == 2:
+        return excess // 2 + 1
+    return ((excess + 3) ** 2 + 6) // 12
+
+
 def _guard_classification_size(s: int, n: int) -> None:
     if s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
+    # Refused before any counting, in constant time.
+    if _size_lower_bound(s, n - s) > MAX_CLASSIFY_SIZE:
+        raise BoundExceededError(
+            f"P({s},{n}) has more than {MAX_CLASSIFY_SIZE} partitions, the limit"
+        )
+    if s * n > MAX_TABLE_CELLS:
+        raise BoundExceededError(f"P({s},{n}) has s*n above the limit {MAX_TABLE_CELLS}")
     size = count_partitions(s, n)
     if size > MAX_CLASSIFY_SIZE:
         raise BoundExceededError(
             f"P({s},{n}) has {size} partitions, above the limit {MAX_CLASSIFY_SIZE}"
+        )
+    if s * size > MAX_TABLE_CELLS:
+        raise BoundExceededError(
+            f"P({s},{n}) holds {s * size} parts, above the limit {MAX_TABLE_CELLS}"
         )
 
 

@@ -30,6 +30,7 @@ fixed-matrix algebra.  All arithmetic is exact; no floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, ConsistencyError, InputError
@@ -329,7 +330,7 @@ def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
     """Determinant of the gcd matrix by fraction-free elimination, plus bounds."""
     matrix = [list(row) for row in gcd_matrix(lam).entries]
     det = _fraction_free_det(matrix) if lam.s > 1 else matrix[0][0]
-    lower = math.prod(euler_phi(p) for p in lam.parts)
+    lower = math.prod(euler_phi(p) ** m for p, m in Counter(lam.parts).items())
     if lam.s == 1:
         upper = lam.parts[0]
     else:

@@ -7,7 +7,6 @@ to n.  Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import ConsistencyError, InputError
@@ -75,16 +74,29 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(sorted(values, reverse=True)))
 
 
-def _descending(n: int, s: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if s == 0:
-        if n == 0:
-            yield ()
+def _descending(n: int, s: int) -> Iterator[tuple[int, ...]]:
+    # Walks the parts in place: fill every position from i on with its
+    # largest feasible part (at most the previous part, leaving at least 1 for
+    # each later one), emit, then lower the rightmost part that can still go
+    # down (it must stay at least the average of what is left there).
+    if s > n:
         return
-    top = min(max_part, n - s + 1)
-    low = (n + s - 1) // s  # first part at least the average, rounded up
-    for first in range(top, low - 1, -1):
-        for rest in _descending(n - first, s - 1, first):
-            yield (first, *rest)
+    parts = [0] * s
+    rest = [n] + [0] * s  # rest[j]: total left for positions j..s-1
+    i = 0
+    while True:
+        for j in range(i, s):
+            parts[j] = min(parts[j - 1] if j else n, rest[j] - (s - j) + 1)
+            rest[j + 1] = rest[j] - parts[j]
+        yield tuple(parts)
+        i = s - 1
+        while i >= 0 and (parts[i] - 1) * (s - i) < rest[i]:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] -= 1
+        rest[i + 1] += 1
+        i += 1
 
 
 def enumerate_partitions(s: int, n: int) -> Iterator[Partition]:
@@ -96,29 +108,34 @@ def enumerate_partitions(s: int, n: int) -> Iterator[Partition]:
     """
     if s < 1 or n < 1:
         raise InputError(f"need s >= 1 and n >= 1, got s={s}, n={n}")
-    return (Partition(parts) for parts in _descending(n, s, n))
+    return (Partition(parts) for parts in _descending(n, s))
 
 
-@lru_cache(maxsize=None)
 def _count_recurrence(s: int, n: int) -> int:
-    # p(s,n) = p(s-1,n-1) + p(s,n-s): split on whether a part equals 1.
-    if s == 0:
-        return 1 if n == 0 else 0
+    # p(k,t) = p(k-1,t-1) + p(k,t-k): split on whether a part equals 1.
+    # Row k holds p(k, k+r) for every excess r <= n-s, built from row k-1;
+    # p(k, t-k) is 0 once k exceeds the excess, so later rows repeat.
     if n < s:
         return 0
-    return _count_recurrence(s - 1, n - 1) + _count_recurrence(s, n - s)
+    excess = n - s
+    row = [1] + [0] * excess  # p(0, r)
+    for k in range(1, min(s, excess) + 1):
+        nxt: list[int] = []
+        for r in range(excess + 1):
+            nxt.append(row[r] + (nxt[r - k] if r >= k else 0))
+        row = nxt
+    return row[excess]
 
 
 def _count_series(s: int, n: int) -> int:
     # Coefficient of q^n in q^s / ((1-q)(1-q^2)...(1-q^s)), by multiplying
-    # the truncated integer power series of each factor 1/(1-q^i).
-    if s == 0:
-        return 1 if n == 0 else 0
+    # the truncated integer power series of each factor 1/(1-q^i); factors
+    # with i above the degree leave every coefficient up to it unchanged.
     if n < s:
         return 0
     degree = n - s
     coeffs = [1] + [0] * degree
-    for i in range(1, s + 1):
+    for i in range(1, min(s, degree) + 1):
         for k in range(i, degree + 1):
             coeffs[k] += coeffs[k - i]
     return coeffs[degree]

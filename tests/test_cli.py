@@ -1,20 +1,26 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import partinv
 from partinv import (
     EquivalenceClasses,
     FieldSpec,
     Partition,
     VerificationReport,
     classify,
+    count_partitions,
     g_vector,
     wedderburn,
 )
-from partinv.cli import main
+from partinv.cli import MAX_CLASSIFY_SIZE, _size_lower_bound, main
 
 
 def run(capsys, *argv):
@@ -211,6 +217,64 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "40", "400")
         assert code == 4
         assert "limit" in err
+
+
+def run_capped(argv, timeout):
+    """Run the command in a child process whose address space is capped at
+    512 MiB, so that a runaway table fails there instead of filling memory."""
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from partinv.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestTableBounds:
+    @pytest.mark.parametrize(
+        "argv,first_line",
+        [
+            (["count", "1", "5000"], "p(1,5000) = 1"),
+            (["count", "1000", "1000"], "p(1000,1000) = 1"),
+            (["count", "990", "1000"], "p(990,1000) = 42"),
+            (["self-equivalent", "1", "100000"], "self-equivalent in P(1,100000): 1"),
+        ],
+    )
+    def test_deep_tables_answer(self, argv, first_line):
+        result = run_capped(argv, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize(
+        "s,n", [("1", "1000000000"), ("2", "1000000000"), ("10000", "20000")]
+    )
+    def test_huge_tables_end_at_once(self, s, n):
+        start = time.perf_counter()
+        result = run_capped(["count", s, n], timeout=10)
+        assert time.perf_counter() - start < 2
+        assert result.returncode in (0, 4)
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("s,n", [("2", "400002"), ("3", "1550"), ("1000", "1049")])
+    def test_refusals(self, capsys, s, n):
+        code, out, err = run(capsys, "count", s, n)
+        assert code == 4
+        assert out == ""
+        assert "limit" in err
+
+    def test_size_lower_bound(self):
+        for n in range(1, 41):
+            for s in range(1, n + 1):
+                bound = _size_lower_bound(s, n - s)
+                assert bound <= count_partitions(s, n)
+                if s <= 3:
+                    assert bound == count_partitions(s, n)
+        assert _size_lower_bound(3, 1544) <= MAX_CLASSIFY_SIZE < _size_lower_bound(3, 1547)
 
 
 class TestSelfEquivalent:

@@ -1,5 +1,6 @@
 """The library promises exact arithmetic, with no floating point anywhere,
-and checks that ``python -O`` cannot strip, so no ``assert`` statements."""
+checks that ``python -O`` cannot strip, so no ``assert`` statements, and
+nothing that grows without limit, so no unbounded caches."""
 
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import partinv
 
 FLOAT_PATTERNS = re.compile(r"\*\*\s*0?\.5|math\.sqrt|\bfloat\(")
 ASSERT_STATEMENT = re.compile(r"^\s*assert\b")
+UNBOUNDED_CACHE = re.compile(r"lru_cache\(\s*(maxsize\s*=\s*)?None\b|functools\.cache\b|@cache\b")
 
 
 def _offending_lines(pattern):
@@ -27,3 +29,7 @@ def test_no_floating_point_in_library_sources():
 
 def test_no_assert_statements_in_library_sources():
     assert _offending_lines(ASSERT_STATEMENT) == []
+
+
+def test_no_unbounded_caches_in_library_sources():
+    assert _offending_lines(UNBOUNDED_CACHE) == []

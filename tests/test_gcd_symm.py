@@ -222,6 +222,20 @@ class TestDeterminant:
             want = _cofactor_det([list(r) for r in gcd_matrix(lam).entries])
             assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
 
+    def test_lower_bound_factors_each_distinct_part_once(self, monkeypatch):
+        calls = []
+        real = partinv.gcd_symm.euler_phi
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(partinv.gcd_symm, "euler_phi", counted)
+        result = gcd_matrix_det_and_bounds(Partition((12, 12, 12, 9, 9, 1)))
+        assert sorted(calls) == [1, 9, 12]
+        assert result.lower == 4**3 * 6**2 * 1
+        assert not result.distinct
+
     def test_bounds_for_distinct_parts(self):
         for lam in all_partitions(16):
             result = gcd_matrix_det_and_bounds(lam)

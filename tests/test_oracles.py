@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from partinv import (
     BoundExceededError,
+    HVector,
     InputError,
     Partition,
     Permutation,
@@ -20,7 +22,8 @@ from partinv import (
     root_union,
     verify_all,
 )
-from partinv.oracles import ReducedFraction, VerificationReport, _fraction_free_rank
+import partinv.oracles
+from partinv.oracles import ReducedFraction, VerificationReport, _exact_rank
 from util import all_partitions
 
 
@@ -111,7 +114,11 @@ class TestCommutant:
             assert commutant_dimension(sigma) == gcd_matrix(lam).total()
 
 
-class TestFractionFreeRank:
+def _sparse(rows):
+    return [{col: v for col, v in enumerate(row) if v} for row in rows]
+
+
+class TestExactRank:
     def _rank_by_fractions(self, rows):
         m = [[Fraction(v) for v in row] for row in rows]
         rank = 0
@@ -137,11 +144,11 @@ class TestFractionFreeRank:
                 [rng.randint(-4, 4) for _ in range(n_cols)] for _ in range(n_rows)
             ]
             want = self._rank_by_fractions([row[:] for row in rows])
-            assert _fraction_free_rank([row[:] for row in rows]) == want, rows
+            assert _exact_rank(_sparse(rows)) == want, rows
 
     def test_rank_deficient_structures(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 2, 4]]
-        assert _fraction_free_rank([r[:] for r in rows]) == 2
+        assert _exact_rank(_sparse(rows)) == 2
 
 
 class TestVerifyAll:
@@ -178,21 +185,37 @@ class TestVerifyAll:
         with pytest.raises(InputError):
             verify_all(-1)
 
-    def test_fault_injection_is_reported(self):
-        target = Partition((4, 2))
+    def test_fault_injection_is_reported(self, monkeypatch):
+        real = partinv.oracles.brute_g
 
-        def flip_one_gcd(lam, values):
-            if lam == target:
-                return (values[0], values[1] + 1)
-            return values
+        def off_by_one_on_4_2(lam, i):
+            value = real(lam, i)
+            return value - 1 if lam == Partition((4, 2)) and i == 2 else value
 
-        report = verify_all(6, fault_hook=flip_one_gcd)
+        monkeypatch.setattr(partinv.oracles, "brute_g", off_by_one_on_4_2)
+        report = verify_all(6)
         assert not report.passed
         failing = [f for f in report.families if not f.passed]
         assert [f.family for f in failing] == ["g-vector vs subset enumeration"]
         assert failing[0].failures[0].input == "4,2"
-        assert failing[0].failures[0].expected == "(6, 2)"
-        assert failing[0].failures[0].actual == "(6, 3)"
+        assert failing[0].failures[0].expected == "(6, 1)"
+        assert failing[0].failures[0].actual == "(6, 2)"
+
+    def test_reported_h_vector_is_checked(self, monkeypatch):
+        real = partinv.oracles.invariants
+
+        def perturbed_h_on_4_2(lam):
+            record = real(lam)
+            if lam != Partition((4, 2)):
+                return record
+            h = HVector((record.h[1] + 1, record.h[2]))
+            return dataclasses.replace(record, h=h)
+
+        monkeypatch.setattr(partinv.oracles, "invariants", perturbed_h_on_4_2)
+        failing = [f for f in verify_all(6).families if not f.passed]
+        assert "h-vector vs root counting" in [f.family for f in failing]
+        family = next(f for f in failing if f.family == "h-vector vs root counting")
+        assert [f.input for f in family.failures] == ["4,2"]
 
     def test_json_round_trip(self):
         report = verify_all(4)

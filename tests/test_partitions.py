@@ -95,6 +95,13 @@ class TestEnumerate:
             assert lam.s == 4
             assert lam.n == 14
 
+    def test_many_parts(self):
+        # More parts than the interpreter's default recursion limit.
+        assert list(enumerate_partitions(1000, 1000)) == [Partition((1,) * 1000)]
+        emitted = list(enumerate_partitions(2000, 2003))
+        assert [lam.parts[:3] for lam in emitted] == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+        assert all(lam.parts[3:] == (1,) * 1997 for lam in emitted)
+
     def test_completeness_against_count(self):
         for n in range(1, 21):
             for s in range(1, n + 1):
@@ -111,6 +118,13 @@ class TestCount:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             count_partitions(-1, 4)
+
+    def test_deep_arguments(self):
+        # Far beyond the interpreter's default recursion limit.
+        assert count_partitions(1, 5000) == 1
+        assert count_partitions(990, 1000) == 42
+        # P(1000, 2000) is in bijection with all partitions of 1000.
+        assert count_partitions(1000, 2000) == 24061467864032622473692149727991
 
 
 class TestConjugate:

@@ -16,9 +16,16 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, InputError
+from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _g_from_h
 from .partitions import Partition, count_partitions, enumerate_partitions
+
+MAX_CLASSIFY_SIZE = 200_000
+# Tables are also refused where s*n is above this, which bounds the counting
+# work (under s*n steps) and each class key (s integers of about s + log2(n)
+# bits), and where s*|P(s,n)|, the parts a table holds, is above it; P(27,77)
+# holds 5 392 386.
+MAX_TABLE_CELLS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -106,10 +113,42 @@ class EquivalenceClasses:
         return out.getvalue()
 
 
+def _size_lower_bound(s: int, excess: int) -> int:
+    # |P(s, s+r)| is the number of partitions of r into at most s parts, so
+    # at least the number into at most min(s, 3) parts: 1, floor(r/2)+1 or
+    # round((r+3)^2/12), whose fraction is never a half.
+    if s == 1:
+        return 1
+    if s == 2:
+        return excess // 2 + 1
+    return ((excess + 3) ** 2 + 6) // 12
+
+
 def classify(s: int, n: int) -> EquivalenceClasses:
-    """Group P(s, n) by h-vector, keyed and sorted by the g-vector."""
+    """Group P(s, n) by h-vector, keyed and sorted by the g-vector.
+
+    Tables of more than ``MAX_CLASSIFY_SIZE`` partitions, or with s*n or
+    s*|P(s, n)| above ``MAX_TABLE_CELLS``, are refused with
+    :class:`BoundExceededError`; the first two checks run before any
+    counting.  P(s, n) is counted once, and the enumeration must match it.
+    """
     if s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
+    if _size_lower_bound(s, n - s) > MAX_CLASSIFY_SIZE:
+        raise BoundExceededError(
+            f"P({s},{n}) has more than {MAX_CLASSIFY_SIZE} partitions, the limit"
+        )
+    if s * n > MAX_TABLE_CELLS:
+        raise BoundExceededError(f"P({s},{n}) has s*n above the limit {MAX_TABLE_CELLS}")
+    expected = count_partitions(s, n)
+    if expected > MAX_CLASSIFY_SIZE:
+        raise BoundExceededError(
+            f"P({s},{n}) has {expected} partitions, above the limit {MAX_CLASSIFY_SIZE}"
+        )
+    if s * expected > MAX_TABLE_CELLS:
+        raise BoundExceededError(
+            f"P({s},{n}) holds {s * expected} parts, above the limit {MAX_TABLE_CELLS}"
+        )
     groups: dict[tuple[int, ...], list[Partition]] = {}
     for lam in enumerate_partitions(s, n):
         groups.setdefault(_closure_h(lam.parts), []).append(lam)
@@ -119,7 +158,6 @@ def classify(s: int, n: int) -> EquivalenceClasses:
         key=lambda c: c.key,
     )
     result = EquivalenceClasses(s=s, n=n, classes=tuple(classes))
-    expected = count_partitions(s, n)
     if result.p != expected:
         raise ConsistencyError(
             f"classified {result.p} partitions of P({s},{n}), expected {expected}"

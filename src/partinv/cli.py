@@ -26,14 +26,8 @@ from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
 from .partition_poly import Invariants, PartitionPolynomial, equivalent, invariants
-from .partitions import Partition, count_partitions, parse_partition
+from .partitions import parse_partition
 
-MAX_CLASSIFY_SIZE = 200_000
-# Tables are also refused where s*n is above this, which bounds the counting
-# work (under s*n steps) and each class key (s integers of about s + log2(n)
-# bits), and where s*|P(s,n)|, the parts a table holds, is above it; P(27,77)
-# holds 5 392 386.
-MAX_TABLE_CELLS = 6_000_000
 MAX_VERIFY_N = 25
 MAX_MATRIX_CAP = 16
 
@@ -208,38 +202,6 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     return 0
 
 
-def _size_lower_bound(s: int, excess: int) -> int:
-    # |P(s, s+r)| is the number of partitions of r into at most s parts, so
-    # at least the number into at most min(s, 3) parts: 1, floor(r/2)+1 or
-    # round((r+3)^2/12), whose fraction is never a half.
-    if s == 1:
-        return 1
-    if s == 2:
-        return excess // 2 + 1
-    return ((excess + 3) ** 2 + 6) // 12
-
-
-def _guard_classification_size(s: int, n: int) -> None:
-    if s < 1 or n < s:
-        raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
-    # Refused before any counting, in constant time.
-    if _size_lower_bound(s, n - s) > MAX_CLASSIFY_SIZE:
-        raise BoundExceededError(
-            f"P({s},{n}) has more than {MAX_CLASSIFY_SIZE} partitions, the limit"
-        )
-    if s * n > MAX_TABLE_CELLS:
-        raise BoundExceededError(f"P({s},{n}) has s*n above the limit {MAX_TABLE_CELLS}")
-    size = count_partitions(s, n)
-    if size > MAX_CLASSIFY_SIZE:
-        raise BoundExceededError(
-            f"P({s},{n}) has {size} partitions, above the limit {MAX_CLASSIFY_SIZE}"
-        )
-    if s * size > MAX_TABLE_CELLS:
-        raise BoundExceededError(
-            f"P({s},{n}) holds {s * size} parts, above the limit {MAX_TABLE_CELLS}"
-        )
-
-
 def _summary_lines(s: int, n: int, grouped) -> list[str]:
     histogram = " ".join(f"{size}:{count}" for size, count in grouped.e.items())
     return [
@@ -250,7 +212,6 @@ def _summary_lines(s: int, n: int, grouped) -> list[str]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    _guard_classification_size(args.s, args.n)
     grouped = classify_partitions(args.s, args.n)
     if args.format == "csv":
         sys.stdout.write(grouped.to_csv())
@@ -265,7 +226,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_self_equivalent(args: argparse.Namespace) -> int:
-    _guard_classification_size(args.s, args.n)
     singles = self_equivalent(args.s, args.n)
     lines = [f"self-equivalent in P({args.s},{args.n}): {len(singles)}"]
     lines.extend(str(lam) for lam in singles)
@@ -279,7 +239,6 @@ def _cmd_self_equivalent(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    _guard_classification_size(args.s, args.n)
     grouped = classify_partitions(args.s, args.n)
     lines = _summary_lines(args.s, args.n, grouped)
     payload = {

@@ -147,8 +147,6 @@ def h_vector(g: GVector) -> HVector:
         for k in range(s - i + 1):
             term = math.comb(i + k, i) * g[i + k]
             acc += -term if k % 2 else term
-        if acc < 0:
-            raise ConsistencyError(f"negative multiplicity h_{i} = {acc} from {g.values}")
         values.append(acc)
     return HVector(tuple(values))
 
@@ -258,16 +256,30 @@ def is_prime(m: int) -> bool:
     )
 
 
+_TRIAL_BOUND = 10**6
+
+
 def _prime_factors(m: int) -> set[int]:
-    """The distinct prime factors of m >= 1, by trial division."""
+    """The distinct prime factors of m >= 1.
+
+    By trial division up to ``_TRIAL_BOUND``.  A cofactor left past it with
+    no divisor up to there is the last factor when :func:`is_prime` accepts
+    it; any other, one at or above psi_13 included, is refused with
+    :class:`BoundExceededError`.
+    """
     factors = set()
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= _TRIAL_BOUND:
         if m % p == 0:
             factors.add(p)
             while m % p == 0:
                 m //= p
         p += 1
+    if p * p <= m and (m >= _WITNESS_BOUND or not is_prime(m)):
+        raise BoundExceededError(
+            f"cannot factor {m}: it has no prime factor up to {_TRIAL_BOUND}"
+            f" and is not a prime below {_WITNESS_BOUND}"
+        )
     if m > 1:
         factors.add(m)
     return factors

@@ -57,16 +57,12 @@ class PartitionPolynomial:
         return " ".join(terms) if terms else "0"
 
 
-def _polynomial(lam: Partition, g: GVector) -> PartitionPolynomial:
+def _polynomial(g: GVector) -> PartitionPolynomial:
     s = g.s
     g_last = g[s]
     coefficients = []
     for i in range(s):
-        quotient, remainder = divmod(g[i + 1], g_last)
-        if remainder:
-            raise ConsistencyError(
-                f"g_s = {g_last} does not divide g_{i + 1} = {g[i + 1]} for {lam}"
-            )
+        quotient = g[i + 1] // g_last  # exact: GVector checks that g_s divides every g_i
         coefficients.append(-quotient if (s - 1 - i) % 2 else quotient)
     return PartitionPolynomial(tuple(coefficients))
 
@@ -92,14 +88,14 @@ def invariants(lam: Partition | Invariants) -> Invariants:
         return lam
     h = _closure_h(lam.parts)
     g = GVector(_g_from_h(h))
-    return Invariants(partition=lam, h=HVector(h), g=g, polynomial=_polynomial(lam, g))
+    return Invariants(partition=lam, h=HVector(h), g=g, polynomial=_polynomial(g))
 
 
 def epsilon(lam: Partition | Invariants) -> PartitionPolynomial:
     """The partition's polynomial: coefficient of x^i is (-1)^(s-1-i) g_{i+1}/g_s.
 
     g_s divides every g_i, so the coefficients are exact integers; a
-    non-exact division would contradict that and raises.
+    g-vector for which that fails is refused when it is built.
     """
     return invariants(lam).polynomial
 

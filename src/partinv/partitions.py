@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 
 
 @dataclass(frozen=True, order=True)
@@ -111,26 +111,17 @@ def enumerate_partitions(s: int, n: int) -> Iterator[Partition]:
     return (Partition(parts) for parts in _descending(n, s))
 
 
-def _count_recurrence(s: int, n: int) -> int:
-    # p(k,t) = p(k-1,t-1) + p(k,t-k): split on whether a part equals 1.
-    # Row k holds p(k, k+r) for every excess r <= n-s, built from row k-1;
-    # p(k, t-k) is 0 once k exceeds the excess, so later rows repeat.
-    if n < s:
-        return 0
-    excess = n - s
-    row = [1] + [0] * excess  # p(0, r)
-    for k in range(1, min(s, excess) + 1):
-        nxt: list[int] = []
-        for r in range(excess + 1):
-            nxt.append(row[r] + (nxt[r - k] if r >= k else 0))
-        row = nxt
-    return row[excess]
+def count_partitions(s: int, n: int) -> int:
+    """Number of partitions of ``n`` with exactly ``s`` parts.
 
-
-def _count_series(s: int, n: int) -> int:
-    # Coefficient of q^n in q^s / ((1-q)(1-q^2)...(1-q^s)), by multiplying
-    # the truncated integer power series of each factor 1/(1-q^i); factors
-    # with i above the degree leave every coefficient up to it unchanged.
+    The coefficient of q^n in q^s / ((1-q)(1-q^2)...(1-q^s)), read off the
+    truncated integer power series of the product, multiplied in place one
+    factor 1/(1-q^i) at a time; factors with i above the degree n - s leave
+    every coefficient up to it unchanged, so at most min(s, n - s) passes of
+    n - s additions each are made.  Zero when ``s > n``.
+    """
+    if s < 0 or n < 0:
+        raise InputError(f"need s >= 0 and n >= 0, got s={s}, n={n}")
     if n < s:
         return 0
     degree = n - s
@@ -139,25 +130,6 @@ def _count_series(s: int, n: int) -> int:
         for k in range(i, degree + 1):
             coeffs[k] += coeffs[k - i]
     return coeffs[degree]
-
-
-def count_partitions(s: int, n: int) -> int:
-    """Number of partitions of ``n`` with exactly ``s`` parts.
-
-    Computed by two independent methods, the standard recurrence and exact
-    coefficient extraction from the generating function; a disagreement is a
-    bug and raises :class:`ConsistencyError`.
-    """
-    if s < 0 or n < 0:
-        raise InputError(f"need s >= 0 and n >= 0, got s={s}, n={n}")
-    by_recurrence = _count_recurrence(s, n)
-    by_series = _count_series(s, n)
-    if by_recurrence != by_series:
-        raise ConsistencyError(
-            f"partition counts disagree for s={s}, n={n}: "
-            f"recurrence {by_recurrence}, series {by_series}"
-        )
-    return by_recurrence
 
 
 def conjugate(lam: Partition) -> Partition:

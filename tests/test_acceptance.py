@@ -175,7 +175,7 @@ def test_criterion_5_surgery_laws():
 def test_criterion_6_counting():
     for n in range(1, 41):
         for s in range(1, n + 1):
-            # count_partitions internally cross-checks recurrence vs series
+            # enumeration is an independent count of the same table
             assert count_partitions(s, n) == sum(
                 1 for _ in enumerate_partitions(s, n)
             )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from partinv import (
+    BoundExceededError,
     EquivalenceClasses,
     InputError,
     Partition,
@@ -47,6 +48,13 @@ class TestClassify:
             classify(0, 5)
         with pytest.raises(InputError):
             classify(4, 3)
+
+    def test_library_calls_are_bounded(self):
+        # P(2,400002) has 200001 partitions, one above the limit.
+        with pytest.raises(BoundExceededError):
+            classify(2, 400002)
+        with pytest.raises(BoundExceededError):
+            self_equivalent(2, 400002)
 
     def test_classes_partition_the_set(self):
         for n in range(1, 15):

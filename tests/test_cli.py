@@ -20,7 +20,8 @@ from partinv import (
     g_vector,
     wedderburn,
 )
-from partinv.cli import MAX_CLASSIFY_SIZE, _size_lower_bound, main
+from partinv.classify import MAX_CLASSIFY_SIZE, _size_lower_bound
+from partinv.cli import main
 
 
 def run(capsys, *argv):
@@ -148,6 +149,22 @@ class TestLargeParts:
         assert code == 0
         if command != "iso":
             assert f"simple blocks: {self.BIG} vs {self.BIG + 1}" in out
+
+    def test_analyze_factors_a_prime_part(self, capsys):
+        prime = 1000000000000000003  # 19 digits, so past the trial-division bound
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", f"{prime},1")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert f"determinant bounds: {prime - 1} <= det <= {prime - 1}" in out
+
+    def test_analyze_refuses_a_part_it_cannot_factor(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", f"{self.BIG},1")
+        assert time.perf_counter() - start < 1
+        assert code == 4
+        assert out == ""
+        assert "cannot factor" in err
 
     def test_invariants_answer_at_once(self):
         start = time.perf_counter()
@@ -303,6 +320,24 @@ class TestCount:
         assert data["p"] == 4
         assert data["i"] == 3
         assert data["e"] == {"1": 2, "2": 1}
+
+    def test_counts_the_table_once(self, capsys):
+        # Calls are matched by code object, whichever module binds the name.
+        target = count_partitions.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                calls.append((frame.f_locals["s"], frame.f_locals["n"]))
+
+        sys.setprofile(profile)
+        try:
+            code = main(["count", "3", "7"])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code == 0
+        assert calls == [(3, 7)]
 
 
 class TestVerify:

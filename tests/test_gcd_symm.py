@@ -253,6 +253,12 @@ class TestEulerPhi:
     def test_counts_coprime_residues(self, m):
         assert euler_phi(m) == sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
 
+    def test_factors_past_the_trial_bound(self):
+        prime = 1000000000000000003
+        assert euler_phi(2 * prime) == prime - 1
+        with pytest.raises(BoundExceededError):
+            euler_phi(1000003 * 1000033)  # both primes are above the bound
+
 
 class TestIsPrime:
     def test_agrees_with_a_sieve_below_10_to_the_5(self):

@@ -132,8 +132,9 @@ def _g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
 def g_vector(lam: Partition) -> GVector:
     """All g_i of a partition, from the h-vector of its gcd-closure.
 
-    Never enumerates the 2^s subsets; the literal enumeration lives in
-    :func:`partinv.oracles.brute_g` and must agree.
+    Never enumerates the 2^s subsets; the oracles' sub-multiset walk
+    :func:`partinv.oracles._multiset_g` must agree, and the tests pin it to
+    the literal definition :func:`partinv.oracles.brute_g`.
     """
     return GVector(_g_from_h(_closure_h(lam.parts)))
 

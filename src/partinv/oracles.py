@@ -1,8 +1,10 @@
 """Independent brute-force verifiers for every closed-form invariant.
 
-Each oracle recomputes a quantity from its raw definition: literal subset
-enumeration, explicit roots of unity as reduced fractions, the nullity of
-the actual commutation linear system, all with exact integer arithmetic, never
+Each oracle recomputes a quantity from its raw definition: subset
+enumeration (the g family walks sub-multisets of the parts, and
+:func:`brute_g`, the literal walk over index subsets, is pinned to it by the
+tests), explicit roots of unity as reduced fractions, the nullity of the
+actual commutation linear system, all with exact integer arithmetic, never
 floating point.  The check families compare these against the closed-form
 implementations over exhaustive sweeps and report every mismatch.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -51,7 +54,7 @@ def root_fraction(k: int, l: int) -> ReducedFraction:
 def root_union(lam: Partition) -> set[ReducedFraction]:
     """Every root of unity whose order divides some part, as reduced fractions."""
     union: set[ReducedFraction] = set()
-    for part in lam.parts:
+    for part in set(lam.parts):
         for k in range(part):
             union.add(root_fraction(k, part))
     return union
@@ -61,12 +64,14 @@ def eigenvalue_multiplicities(lam: Partition) -> HVector:
     """h_i by direct counting: how many roots lie in exactly i part-groups.
 
     A reduced k/l is an m-th root of unity iff l divides m*k, which given
-    gcd(k, l) = 1 is just l | m.  Entirely integer arithmetic.
+    gcd(k, l) = 1 is just l | m.  So every root with denominator l lies in
+    the same number of part-groups, counted once per l.  Entirely integer
+    arithmetic.
     """
     counts = [0] * (lam.s + 1)
-    for _, l in root_union(lam):
+    for l, roots in Counter(l for _, l in root_union(lam)).items():
         inside = sum(1 for part in lam.parts if part % l == 0)
-        counts[inside] += 1
+        counts[inside] += roots
     return HVector(tuple(counts[1:]))
 
 
@@ -75,11 +80,35 @@ def brute_g(lam: Partition, i: int) -> int:
 
     ``combinations`` walks the index subsets in order (equal parts are kept
     apart by position), so this is the raw definition with no incremental
-    shortcut; it is the oracle for g_vector, which power_norm must match.
+    shortcut.  The tests pin :func:`_multiset_g`, the oracle the g family
+    checks g_vector against, to it.
     """
     if not 1 <= i <= lam.s:
         raise InputError(f"subset size {i} outside 1..{lam.s} for {lam}")
     return sum(itertools.starmap(math.gcd, itertools.combinations(lam.parts, i)))
+
+
+def _multiset_g(lam: Partition) -> tuple[int, ...]:
+    """(g_1, ..., g_s) in one walk over the sub-multisets of the parts.
+
+    Over the distinct values v_k with multiplicities m_k, every choice of
+    j_k in 0..m_k copies is walked, one value at a time, carrying its gcd
+    and size.  Equal parts leave a gcd unchanged, so the choice stands for
+    prod C(m_k, j_k) index subsets with that gcd: the subset definition with
+    equal subsets merged.  No divisor reasoning is used, and choices with
+    equal gcds are never merged.
+    """
+    choices = [(0, 0, 1)]  # (gcd, size, number of index subsets)
+    for value, m in Counter(lam.parts).items():
+        choices = [
+            (gcd if j == 0 else math.gcd(gcd, value), size + j, weight * math.comb(m, j))
+            for gcd, size, weight in choices
+            for j in range(m + 1)
+        ]
+    g = [0] * (lam.s + 1)
+    for gcd, size, weight in choices:
+        g[size] += weight * gcd
+    return tuple(g[1:])
 
 
 def _commutation_system(sigma: Permutation) -> list[dict[int, int]]:
@@ -252,10 +281,9 @@ def _compare(lam: Partition, expected, actual) -> Outcome:
 
 @_family("g-vector vs subset enumeration")
 def check_g_vector_vs_brute(n_max: int) -> Outcomes:
-    """g-vector (from the gcd-closure) against literal subset enumeration."""
+    """g-vector (from the gcd-closure) against sub-multiset enumeration."""
     for lam in _all_partitions(n_max):
-        expected = tuple(brute_g(lam, i) for i in range(1, lam.s + 1))
-        yield _compare(lam, expected, g_vector(lam).values)
+        yield _compare(lam, _multiset_g(lam), g_vector(lam).values)
 
 
 @_family("power norm vs g-vector")
@@ -336,9 +364,9 @@ def check_block_sum_rules(n_max: int) -> Outcomes:
 def check_determinant_bounds(n_max: int) -> Outcomes:
     """For pairwise distinct parts: totient product <= det <= part product - s!/2."""
     for lam in _all_partitions(n_max):
-        result = gcd_matrix_det_and_bounds(lam)
-        if not result.distinct:
+        if len(set(lam.parts)) != lam.s:
             continue
+        result = gcd_matrix_det_and_bounds(lam)
         passed = 0 < result.determinant and result.lower <= result.determinant <= result.upper
         yield None if passed else Failure(
             str(lam), f"{result.lower} <= det <= {result.upper}", str(result.determinant)

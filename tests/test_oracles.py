@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partinv import (
     BoundExceededError,
@@ -23,7 +26,7 @@ from partinv import (
     verify_all,
 )
 import partinv.oracles
-from partinv.oracles import ReducedFraction, VerificationReport, _exact_rank
+from partinv.oracles import ReducedFraction, VerificationReport, _exact_rank, _multiset_g
 from util import all_partitions
 
 
@@ -52,6 +55,10 @@ class TestReducedFractions:
                 Fraction(k, part) for part in lam.parts for k in range(part)
             }
             assert got == want
+
+    def test_repeated_parts_add_no_roots(self):
+        for lam in all_partitions(14):
+            assert root_union(lam) == root_union(Partition.of(*set(lam.parts)))
 
 
 class TestEigenvalueMultiplicities:
@@ -91,6 +98,38 @@ class TestBruteG:
             g = g_vector(lam)
             for i in range(1, lam.s + 1):
                 assert brute_g(lam, i) == g[i]
+
+
+# Up to 12 parts drawn from a pool of at most 4 values, so most multisets
+# repeat some value many times.
+_high_multiplicity_multisets = st.lists(
+    st.integers(min_value=1, max_value=60), min_size=1, max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+
+
+class TestMultisetG:
+    """The sub-multiset oracle that the g family uses, pinned to the literal
+    index-subset definition."""
+
+    @pytest.mark.parametrize(
+        "parts,g",
+        [
+            ((8, 2, 1), (11, 4, 1)),
+            ((1,) * 20, tuple(math.comb(20, i) for i in range(1, 21))),
+            ((6, 6, 4, 4, 4), (24, 30, 22, 10, 2)),
+        ],
+    )
+    def test_fixtures(self, parts, g):
+        assert _multiset_g(Partition(parts)) == g
+
+    def test_agrees_with_brute_g(self):
+        for lam in all_partitions(18):
+            assert _multiset_g(lam) == tuple(brute_g(lam, i) for i in range(1, lam.s + 1))
+
+    @given(_high_multiplicity_multisets)
+    def test_agrees_with_brute_g_on_repeated_values(self, parts):
+        lam = Partition.of(*parts)
+        assert _multiset_g(lam) == tuple(brute_g(lam, i) for i in range(1, lam.s + 1))
 
 
 class TestCommutant:
@@ -186,13 +225,13 @@ class TestVerifyAll:
             verify_all(-1)
 
     def test_fault_injection_is_reported(self, monkeypatch):
-        real = partinv.oracles.brute_g
+        real = partinv.oracles._multiset_g
 
-        def off_by_one_on_4_2(lam, i):
-            value = real(lam, i)
-            return value - 1 if lam == Partition((4, 2)) and i == 2 else value
+        def off_by_one_on_4_2(lam):
+            g = real(lam)
+            return (g[0], g[1] - 1) if lam == Partition((4, 2)) else g
 
-        monkeypatch.setattr(partinv.oracles, "brute_g", off_by_one_on_4_2)
+        monkeypatch.setattr(partinv.oracles, "_multiset_g", off_by_one_on_4_2)
         report = verify_all(6)
         assert not report.passed
         failing = [f for f in report.families if not f.passed]

@@ -296,31 +296,20 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _fraction_free_det(rows: list[list[int]]) -> int:
-    # Bareiss one-step elimination: every entry stays an exact minor of the
-    # input, so the divisions are exact and no fractions appear.
-    size = len(rows)
-    sign = 1
+def _positive_definite_det(upper: list[list[int]]) -> int:
+    # Bareiss with no row exchange over the upper triangle (upper[r] is row r
+    # from the diagonal on).  Entries are minors, so divisions are exact and
+    # stay symmetric; pivots are leading minors, positive on definite input.
     prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for r in range(k + 1, size):
-            factor = rows[r][k]
-            row = rows[r]
-            lead = rows[k]
-            for c in range(k + 1, size):
-                row[c] = (pivot * row[c] - factor * lead[c]) // prev
-            row[k] = 0
+    for k, lead in enumerate(upper):
+        pivot = lead[0]
+        if pivot <= 0:
+            raise ConsistencyError(f"gcd matrix pivot {k + 1} is {pivot}, expected positive")
+        for j, factor in enumerate(lead[1:], start=1):
+            pairs = zip(upper[k + j], lead[j:])
+            upper[k + j] = [(pivot * a - factor * b) // prev for a, b in pairs]
         prev = pivot
-    return sign * rows[size - 1][size - 1]
+    return prev
 
 
 @dataclass(frozen=True)
@@ -328,9 +317,12 @@ class DetBounds:
     """Exact determinant of the gcd matrix with the totient/product bounds.
 
     The bounds (and positivity) are only asserted when the parts are pairwise
-    distinct; ``distinct`` records that.  For a single part the upper-bound
-    formula degenerates (s!/2 is not an integer), so the part itself is
-    reported as the upper bound.
+    distinct; ``distinct`` records that.  Distinct parts make the matrix
+    positive definite (Smith 1875: G = E diag(phi) E^T, where the 0/1 matrix
+    E of parts against their divisors has independent rows), so no leading
+    minor is zero and the elimination needs no pivot search.  For a single
+    part the upper-bound formula degenerates (s!/2 is not an integer), so
+    the part itself is reported as the upper bound.
     """
 
     determinant: int
@@ -340,13 +332,21 @@ class DetBounds:
 
 
 def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
-    """Determinant of the gcd matrix by fraction-free elimination, plus bounds."""
-    matrix = [list(row) for row in gcd_matrix(lam).entries]
-    det = _fraction_free_det(matrix) if lam.s > 1 else matrix[0][0]
+    """Determinant of the gcd matrix, plus bounds.
+
+    Repeated parts give two equal rows, so 0 with no elimination.  Distinct
+    parts are eliminated in increasing order, which keeps the leading minors
+    small, with no pivot search: the matrix is positive definite.
+    """
+    parts = sorted(set(lam.parts))
+    distinct = len(parts) == lam.s
+    det = 0
+    if distinct:
+        gcds = [[math.gcd(a, b) for b in parts[i:]] for i, a in enumerate(parts)]
+        det = _positive_definite_det(gcds)
     lower = math.prod(euler_phi(p) ** m for p, m in Counter(lam.parts).items())
     if lam.s == 1:
         upper = lam.parts[0]
     else:
         upper = math.prod(lam.parts) - math.factorial(lam.s) // 2
-    distinct = len(set(lam.parts)) == lam.s
     return DetBounds(determinant=det, lower=lower, upper=upper, distinct=distinct)

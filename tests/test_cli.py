@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from partinv import (
 )
 from partinv.classify import MAX_CLASSIFY_SIZE, _size_lower_bound
 from partinv.cli import main
+from util import fraction_free_det
 
 
 def run(capsys, *argv):
@@ -92,6 +94,28 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "4,2", "--char", "1000000007")
         assert code == 0
         assert "characteristic: 1000000007" in out
+
+    def test_many_distinct_parts_answer_in_bounded_time(self, capsys):
+        parts = range(1, 201)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", ",".join(map(str, parts)))
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        # In increasing order the reference takes well under a second; in the
+        # partition's decreasing order it takes several.
+        want = fraction_free_det([[math.gcd(a, b) for b in parts] for a in parts])
+        assert f"\ngcd-matrix determinant: {want}\n" in out
+
+    def test_non_positive_pivot_is_a_consistency_error(self, capsys, monkeypatch):
+        real = partinv.gcd_symm._positive_definite_det
+        indefinite = [[1, 2], [1]]  # [[1, 2], [2, 1]]: second leading minor -3
+        monkeypatch.setattr(
+            partinv.gcd_symm, "_positive_definite_det", lambda upper: real(indefinite)
+        )
+        code, out, err = run(capsys, "analyze", "3,2,1")
+        assert code == 3
+        assert out == ""
+        assert "pivot 2 is -3" in err
 
 
 class TestCompare:

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partinv.gcd_symm
@@ -22,7 +23,7 @@ from partinv import (
     scale,
     truncate,
 )
-from util import all_partitions, subset_gcd_sum
+from util import all_partitions, fraction_free_det, subset_gcd_sum
 
 naturals = st.integers(min_value=0, max_value=10**9)
 positives = st.integers(min_value=1, max_value=10**6)
@@ -221,6 +222,41 @@ class TestDeterminant:
                 continue
             want = _cofactor_det([list(r) for r in gcd_matrix(lam).entries])
             assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
+
+    def test_against_general_elimination(self):
+        leading = (Partition.of(*range(1, k + 1)) for k in range(1, 61))
+        for lam in itertools.chain(all_partitions(25), leading):
+            want = fraction_free_det([list(r) for r in gcd_matrix(lam).entries])
+            assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
+
+    @settings(deadline=None)
+    @given(st.lists(positives, min_size=1, max_size=40))
+    def test_against_general_elimination_on_random_parts(self, parts):
+        lam = Partition.of(*parts)
+        want = fraction_free_det([list(r) for r in gcd_matrix(lam).entries])
+        assert gcd_matrix_det_and_bounds(lam).determinant == want
+
+    @pytest.mark.parametrize(
+        "parts,lower,upper",
+        [
+            ((1,) * 200, 1, 1 - math.factorial(200) // 2),
+            ((12, 12, 12, 9, 9, 1), 4**3 * 6**2, 12**3 * 9**2 - 360),
+            ((2,) * 150, 1, 2**150 - math.factorial(150) // 2),
+        ],
+    )
+    def test_repeated_parts_are_not_eliminated(self, monkeypatch, parts, lower, upper):
+        def refuse(upper_triangle):
+            raise AssertionError("repeated parts reached the elimination")
+
+        monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", refuse)
+        result = gcd_matrix_det_and_bounds(Partition(parts))
+        assert (result.determinant, result.lower, result.upper) == (0, lower, upper)
+        assert not result.distinct
+
+    @pytest.mark.parametrize("upper", [[[1, 2], [1]], [[0, 1], [0]], [[2, 1, 1], [1, 1], [-1]]])
+    def test_non_positive_pivot_is_a_consistency_error(self, upper):
+        with pytest.raises(ConsistencyError, match="pivot"):
+            partinv.gcd_symm._positive_definite_det(upper)
 
     def test_lower_bound_factors_each_distinct_part_once(self, monkeypatch):
         calls = []

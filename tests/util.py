@@ -27,6 +27,37 @@ def subset_gcd_sum(parts: tuple[int, ...], size: int) -> int:
     return total
 
 
+def fraction_free_det(rows: list[list[int]]) -> int:
+    """Reference determinant: general Bareiss elimination with row swaps.
+
+    Every entry stays an exact minor of the input, so the divisions are
+    exact; a zero pivot is swapped for a row below it, or the determinant
+    is 0.  Assumes nothing about the matrix.
+    """
+    size = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            for r in range(k + 1, size):
+                if rows[r][k] != 0:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k][k]
+        for r in range(k + 1, size):
+            factor = rows[r][k]
+            row = rows[r]
+            lead = rows[k]
+            for c in range(k + 1, size):
+                row[c] = (pivot * row[c] - factor * lead[c]) // prev
+            row[k] = 0
+        prev = pivot
+    return sign * rows[size - 1][size - 1]
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k

@@ -10,7 +10,6 @@ determined by the cycle type, through the gcd-symmetric invariants.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -24,11 +23,7 @@ Matrix = list[list[int]]
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1, ..., n}; ``images[i-1]`` is the image of i.
-
-    Composition is left-to-right: ``(sigma * tau)(i) == tau(sigma(i))``,
-    matching the row convention of the permutation matrices below.
-    """
+    """A bijection of {1, ..., n}; ``images[i-1]`` is the image of i."""
 
     images: tuple[int, ...]
 
@@ -39,88 +34,12 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"images are not a bijection of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def n(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
-            raise InputError("cannot compose permutations of different degree")
-        return Permutation(tuple(other(self(i)) for i in range(1, self.n + 1)))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Permutation(tuple(images))
-
-    def cycles(self) -> list[list[int]]:
-        """Disjoint cycles including fixed points, longest first."""
-        seen = [False] * (self.n + 1)
-        cycles = []
-        for start in range(1, self.n + 1):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self(start)
-            while j != start:
-                cycle.append(j)
-                seen[j] = True
-                j = self(j)
-            cycles.append(cycle)
-        cycles.sort(key=lambda c: (-len(c), c[0]))
-        return cycles
-
-
-_CYCLE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse 1-based cycle notation like ``(1 2 3)(4 5)``.
-
-    Points are whitespace-separated.  Fixed points may be omitted when
-    ``degree`` is given explicitly; otherwise the degree is the largest point
-    mentioned.
-    """
-    body = text.strip()
-    stripped = _CYCLE.sub("", body).strip()
-    if stripped:
-        raise InputError(f"unexpected text outside cycles: {stripped!r}")
-    cycles = []
-    for group in _CYCLE.findall(body):
-        points = []
-        for token in group.split():
-            try:
-                point = int(token)
-            except ValueError:
-                raise InputError(f"not an integer point: {token!r}") from None
-            if point < 1:
-                raise InputError(f"points are 1-based, got {point}")
-            points.append(point)
-        if points:
-            cycles.append(points)
-    mentioned = [p for cycle in cycles for p in cycle]
-    if len(set(mentioned)) != len(mentioned):
-        raise InputError("cycles are not disjoint")
-    if degree is None:
-        if not mentioned:
-            raise InputError("empty permutation needs an explicit degree")
-        degree = max(mentioned)
-    elif mentioned and max(mentioned) > degree:
-        raise InputError(f"point {max(mentioned)} exceeds degree {degree}")
-    images = list(range(1, degree + 1))
-    for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a - 1] = b
-    return Permutation(tuple(images))
 
 
 def canonical_permutation(lam: Partition) -> Permutation:
@@ -132,11 +51,6 @@ def canonical_permutation(lam: Partition) -> Permutation:
         images.append(offset + 1)
         offset += length
     return Permutation(tuple(images))
-
-
-def cycle_type(sigma: Permutation) -> Partition:
-    """Cycle lengths in weakly decreasing order; fixed points count as 1."""
-    return Partition(tuple(sorted((len(c) for c in sigma.cycles()), reverse=True)))
 
 
 def perm_matrix(sigma: Permutation) -> Matrix:
@@ -176,42 +90,6 @@ def pair_orbits(sigma: Permutation) -> OrbitDecomposition:
                 a, b = sigma(a + 1) - 1, sigma(b + 1) - 1
             count += 1
     return OrbitDecomposition(ids=tuple(tuple(row) for row in ids), count=count)
-
-
-@dataclass(frozen=True)
-class OrbitBasis:
-    """Indicator matrices of the pair orbits plus the cycle idempotents.
-
-    ``matrices[k]`` is the 0/1 indicator of orbit k; the basis spans the
-    fixed algebra and is closed under transpose.  ``idempotents[i]`` is the
-    diagonal indicator of the (i+1)-th cycle's support (cycles ordered as in
-    :meth:`Permutation.cycles`); they are orthogonal and sum to the identity.
-    """
-
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
-    idempotents: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def orbit_basis(sigma: Permutation) -> OrbitBasis:
-    n = sigma.n
-    orbits = pair_orbits(sigma)
-    matrices = [[[0] * n for _ in range(n)] for _ in range(orbits.count)]
-    for i in range(n):
-        for j in range(n):
-            matrices[orbits.ids[i][j]][i][j] = 1
-    idempotents = []
-    for cycle in sigma.cycles():
-        diag = [[0] * n for _ in range(n)]
-        for point in cycle:
-            diag[point - 1][point - 1] = 1
-        idempotents.append(diag)
-    def freeze(m: Matrix) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in m)
-
-    return OrbitBasis(
-        matrices=tuple(freeze(m) for m in matrices),
-        idempotents=tuple(freeze(m) for m in idempotents),
-    )
 
 
 def dimension(lam: Partition) -> int:

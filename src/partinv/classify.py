@@ -83,17 +83,6 @@ class EquivalenceClasses:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EquivalenceClasses":
-        classes = tuple(
-            EquivalenceClass(
-                key=tuple(entry["key"]),
-                members=tuple(Partition(tuple(m)) for m in entry["members"]),
-            )
-            for entry in data["classes"]
-        )
-        return cls(s=data["s"], n=data["n"], classes=classes)
-
     def to_csv(self) -> str:
         """One row per partition: parts, g-vector, 0-based class id.
 

@@ -38,10 +38,30 @@ from .partitions import Partition
 
 
 @dataclass(frozen=True)
-class GVector:
-    """The sequence (g_1, ..., g_s); ``vec[i]`` is 1-based like g_i."""
+class _Vector:
+    """A sequence (v_1, ..., v_s); ``vec[i]`` is 1-based like v_i."""
 
     values: tuple[int, ...]
+
+    @property
+    def s(self) -> int:
+        return len(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i: int) -> int:
+        if not 1 <= i <= len(self.values):
+            raise IndexError(f"{type(self).__name__} index {i} outside 1..{len(self.values)}")
+        return self.values[i - 1]
+
+
+@dataclass(frozen=True)
+class GVector(_Vector):
+    """The sequence (g_1, ..., g_s) of subset gcd sums."""
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -53,27 +73,10 @@ class GVector:
             if value % last != 0:
                 raise ConsistencyError(f"g_s = {last} does not divide g_{i} = {value}")
 
-    @property
-    def s(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"g-vector index {i} outside 1..{len(self.values)}")
-        return self.values[i - 1]
-
 
 @dataclass(frozen=True)
-class HVector:
+class HVector(_Vector):
     """The sequence (h_1, ..., h_s) of exact-membership counts."""
-
-    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -81,21 +84,6 @@ class HVector:
         for i, value in enumerate(self.values, start=1):
             if value < 0:
                 raise ConsistencyError(f"h_{i} must be nonnegative, got {value}")
-
-    @property
-    def s(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"h-vector index {i} outside 1..{len(self.values)}")
-        return self.values[i - 1]
 
 
 def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,51 +140,23 @@ def h_vector(g: GVector) -> HVector:
     return HVector(tuple(values))
 
 
-@dataclass(frozen=True)
-class DivisorMatrix:
-    """Strictly upper triangular matrix of pairwise gcds of the parts."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def upper_entries(self) -> list[int]:
-        """The entries above the diagonal, row by row (a multiset)."""
-        return [self.entries[i][j] for i in range(self.order) for j in range(i + 1, self.order)]
+Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GcdMatrix:
-    """Symmetric matrix of pairwise gcds; the diagonal is the parts."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
-
-
-def divisor_matrix(lam: Partition) -> DivisorMatrix:
+def divisor_matrix(lam: Partition) -> Rows:
+    """Strictly upper triangular matrix of pairwise gcds of the parts, by rows."""
     parts = lam.parts
     s = lam.s
-    return DivisorMatrix(
-        tuple(
-            tuple(math.gcd(parts[i], parts[j]) if j > i else 0 for j in range(s))
-            for i in range(s)
-        )
+    return tuple(
+        tuple(math.gcd(parts[i], parts[j]) if j > i else 0 for j in range(s))
+        for i in range(s)
     )
 
 
-def gcd_matrix(lam: Partition) -> GcdMatrix:
+def gcd_matrix(lam: Partition) -> Rows:
+    """Symmetric matrix of pairwise gcds, by rows; the diagonal is the parts."""
     parts = lam.parts
-    return GcdMatrix(
-        tuple(tuple(math.gcd(a, b) for b in parts) for a in parts)
-    )
+    return tuple(tuple(math.gcd(a, b) for b in parts) for a in parts)
 
 
 def power_norm(lam: Partition) -> tuple[int, ...]:
@@ -210,7 +170,7 @@ def power_norm(lam: Partition) -> tuple[int, ...]:
     of length i.  Deliberately not computed as g_{i+1}: that equality is a
     theorem, exercised by the test suite.
     """
-    entries = divisor_matrix(lam).entries
+    entries = divisor_matrix(lam)
     norms = [0] * (len(entries) - 1)
     # ending[k][t]: chains of t + 1 steps ending at index k, counted by gcd.
     ending: list[list[dict[int, int]]] = []
@@ -338,13 +298,15 @@ def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
     parts are eliminated in increasing order, which keeps the leading minors
     small, with no pivot search: the matrix is positive definite.
     """
+    # Factoring for the lower bound comes first: a part that cannot be
+    # factored is refused before the elimination is paid for.
+    lower = math.prod(euler_phi(p) ** m for p, m in Counter(lam.parts).items())
     parts = sorted(set(lam.parts))
     distinct = len(parts) == lam.s
     det = 0
     if distinct:
         gcds = [[math.gcd(a, b) for b in parts[i:]] for i, a in enumerate(parts)]
         det = _positive_definite_det(gcds)
-    lower = math.prod(euler_phi(p) ** m for p, m in Counter(lam.parts).items())
     if lam.s == 1:
         upper = lam.parts[0]
     else:

@@ -231,22 +231,6 @@ class VerificationReport:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            families=tuple(
-                FamilyResult(
-                    family=fam["family"],
-                    instances=fam["instances"],
-                    failures=tuple(
-                        Failure(f["input"], f["expected"], f["actual"])
-                        for f in fam["failures"]
-                    ),
-                )
-                for fam in data["families"]
-            )
-        )
-
 
 def _all_partitions(n_max: int) -> Iterator[Partition]:
     for n in range(1, n_max + 1):
@@ -326,7 +310,7 @@ def check_orbit_count_vs_gcd_sum(n_max: int) -> Outcomes:
     """Pair-orbit walking against the gcd-matrix total and the dimension."""
     for lam in _all_partitions(n_max):
         walked = pair_orbits(canonical_permutation(lam)).count
-        total = gcd_matrix(lam).total()
+        total = sum(map(sum, gcd_matrix(lam)))
         dim = dimension(lam)
         yield None if walked == total == dim else Failure(
             str(lam), str(total), f"walk={walked} dim={dim}"
@@ -338,7 +322,7 @@ def check_commutant_dimension(n_max: int) -> Outcomes:
     """Exact nullity of the commutation system against the gcd-matrix total."""
     for lam in _all_partitions(n_max):
         actual = commutant_dimension(canonical_permutation(lam), max_degree=n_max)
-        yield _compare(lam, gcd_matrix(lam).total(), actual)
+        yield _compare(lam, sum(map(sum, gcd_matrix(lam))), actual)
 
 
 @_family("block multiplicity sum rules")
@@ -485,15 +469,18 @@ def check_concat_classes(n_max: int) -> Outcomes:
                     )
 
 
+def _upper_gcds(lam: Partition) -> tuple[int, ...]:
+    """The entries above the divisor matrix's diagonal, sorted: a multiset key."""
+    rows = divisor_matrix(lam)
+    return tuple(sorted(v for i, row in enumerate(rows) for v in row[i + 1 :]))
+
+
 @_family("gcd multiset sufficiency")
 def check_multiset_sufficiency(n_max: int) -> Outcomes:
     """Equal off-diagonal gcd multisets force equivalence."""
     for n in range(2, n_max + 1):
         for s in range(2, n + 1):
-            keyed = [
-                (tuple(sorted(divisor_matrix(lam).upper_entries())), lam)
-                for lam in enumerate_partitions(s, n)
-            ]
+            keyed = [(_upper_gcds(lam), lam) for lam in enumerate_partitions(s, n)]
             keyed.sort(key=lambda kv: kv[0])
             for _, group in itertools.groupby(keyed, key=lambda kv: kv[0]):
                 members = [lam for _, lam in group]

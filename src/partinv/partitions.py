@@ -132,13 +132,6 @@ def count_partitions(s: int, n: int) -> int:
     return coeffs[degree]
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Ferrers diagram (column lengths become parts)."""
-    return Partition(
-        tuple(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1))
-    )
-
-
 def concat(lam: Partition, mu: Partition) -> Partition:
     """Merge the part multisets of two partitions and re-sort."""
     return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
@@ -149,14 +142,3 @@ def scale(d: int, lam: Partition) -> Partition:
     if d < 1:
         raise InputError(f"scale factor must be >= 1, got {d}")
     return Partition(tuple(d * p for p in lam.parts))
-
-
-def truncate(lam: Partition, j: int) -> Partition:
-    """Drop the ``j`` smallest parts.  Requires ``0 <= j < s``.
-
-    Dropping all parts would leave the empty (all-zero) tuple, which is not a
-    valid partition here, so ``j >= s`` is rejected.
-    """
-    if not 0 <= j < lam.s:
-        raise InputError(f"cannot drop {j} parts from a partition with {lam.s}")
-    return Partition(lam.parts[: lam.s - j]) if j else lam

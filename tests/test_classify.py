@@ -4,7 +4,6 @@ import pytest
 
 from partinv import (
     BoundExceededError,
-    EquivalenceClasses,
     InputError,
     Partition,
     classify,
@@ -141,8 +140,12 @@ class TestSelfEquivalent:
 class TestExports:
     def test_json_round_trip(self):
         grouped = classify(3, 11)
-        data = json.loads(json.dumps(grouped.to_json_dict()))
-        assert EquivalenceClasses.from_json_dict(data) == grouped
+        data = grouped.to_json_dict()
+        assert json.loads(json.dumps(data)) == data
+        assert (data["s"], data["n"]) == (3, 11)
+        assert [(tuple(c["key"]), tuple(map(tuple, c["members"]))) for c in data["classes"]] == [
+            (c.key, tuple(m.parts for m in c.members)) for c in grouped.classes
+        ]
         assert data["summary"] == {"p": 10, "i": 5, "e": {"1": 2, "2": 2, "4": 1}}
 
     def test_csv_shape_and_content(self):

@@ -12,13 +12,12 @@ import pytest
 
 import partinv
 from partinv import (
-    EquivalenceClasses,
     FieldSpec,
     Partition,
-    VerificationReport,
     classify,
     count_partitions,
     g_vector,
+    verify_all,
     wedderburn,
 )
 from partinv.classify import MAX_CLASSIFY_SIZE, _size_lower_bound
@@ -227,8 +226,7 @@ class TestClassify:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "classify", "3", "11", "--format", "json")
         assert code == 0
-        grouped = EquivalenceClasses.from_json_dict(json.loads(out))
-        assert grouped == classify(3, 11)
+        assert json.loads(out) == classify(3, 11).to_json_dict()
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, "classify", "3", "11", "--format", "csv")
@@ -377,8 +375,9 @@ class TestVerify:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "verify", "--nmax", "4", "--format", "json")
         assert code == 0
-        report = VerificationReport.from_json_dict(json.loads(out))
-        assert report.passed
+        data = json.loads(out)
+        assert data == verify_all(4).to_json_dict()
+        assert data["passed"] is True
 
     def test_nmax_bound(self, capsys):
         code, _, err = run(capsys, "verify", "--nmax", "26")

@@ -9,11 +9,11 @@ from partinv import (
     Partition,
     classify,
     concat,
-    divisor_matrix,
     enumerate_partitions,
     equivalent,
     scale,
 )
+from util import upper_gcds
 
 
 def _first_prime_above(n):
@@ -111,7 +111,7 @@ class TestMultisetSufficiency:
             for s in range(2, n + 1):
                 by_multiset = {}
                 for lam in enumerate_partitions(s, n):
-                    key = tuple(sorted(divisor_matrix(lam).upper_entries()))
+                    key = tuple(upper_gcds(lam))
                     by_multiset.setdefault(key, []).append(lam)
                 for members in by_multiset.values():
                     for lam, mu in itertools.combinations(members, 2):
@@ -121,8 +121,8 @@ class TestMultisetSufficiency:
         lam = Partition((12, 4, 3, 1))
         mu = Partition((10, 5, 3, 2))
         assert equivalent(lam, mu)
-        left = sorted(divisor_matrix(lam).upper_entries())
-        right = sorted(divisor_matrix(mu).upper_entries())
+        left = upper_gcds(lam)
+        right = upper_gcds(mu)
         assert left == [1, 1, 1, 1, 3, 4]
         assert right == [1, 1, 1, 1, 2, 5]
         assert left != right

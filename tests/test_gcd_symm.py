@@ -9,7 +9,6 @@ import partinv.gcd_symm
 from partinv import (
     BoundExceededError,
     ConsistencyError,
-    DivisorMatrix,
     GVector,
     Partition,
     divisor_matrix,
@@ -21,7 +20,6 @@ from partinv import (
     is_prime,
     power_norm,
     scale,
-    truncate,
 )
 from util import all_partitions, fraction_free_det, subset_gcd_sum
 
@@ -90,7 +88,7 @@ class TestGVector:
         for lam in all_partitions(18):
             if lam.s < 2 or lam.parts[-1] != 1:
                 continue
-            head = truncate(lam, 1)
+            head = Partition(lam.parts[:-1])
             g_full = g_vector(lam)
             g_head = g_vector(head)
             for i in range(1, lam.s + 1):
@@ -102,7 +100,7 @@ class TestGVector:
         for lam in all_partitions(20):
             if lam.s < 2:
                 continue
-            head = truncate(lam, 1)
+            head = Partition(lam.parts[:-1])
             tail = lam.parts[-1]
             g_full = g_vector(lam)
             g_head = g_vector(head)
@@ -137,20 +135,17 @@ class TestHVector:
 
 class TestMatrices:
     def test_divisor_matrix_example(self):
-        m = divisor_matrix(Partition((8, 2, 1)))
-        assert m.entries == ((0, 2, 1), (0, 0, 1), (0, 0, 0))
-        assert m.upper_entries() == [2, 1, 1]
+        assert divisor_matrix(Partition((8, 2, 1))) == ((0, 2, 1), (0, 0, 1), (0, 0, 0))
 
     def test_divisor_matrix_single_part(self):
-        assert divisor_matrix(Partition((9,))).entries == ((0,),)
+        assert divisor_matrix(Partition((9,))) == ((0,),)
 
     def test_gcd_matrix_example(self):
-        m = gcd_matrix(Partition((3, 2, 1)))
-        assert m.entries == ((3, 1, 1), (1, 2, 1), (1, 1, 1))
+        assert gcd_matrix(Partition((3, 2, 1))) == ((3, 1, 1), (1, 2, 1), (1, 1, 1))
 
     def test_gcd_matrix_symmetric_with_trace_n(self):
         for lam in all_partitions(12):
-            m = gcd_matrix(lam).entries
+            m = gcd_matrix(lam)
             assert all(m[i][j] == m[j][i] for i in range(lam.s) for j in range(lam.s))
             assert sum(m[i][i] for i in range(lam.s)) == lam.n
 
@@ -175,9 +170,9 @@ class TestPowerNorm:
         plain = power_norm(lam)
 
         def perturbed(mu):
-            entries = [list(row) for row in divisor_matrix(mu).entries]
+            entries = [list(row) for row in divisor_matrix(mu)]
             entries[0][1] += 1
-            return DivisorMatrix(tuple(tuple(row) for row in entries))
+            return tuple(tuple(row) for row in entries)
 
         monkeypatch.setattr(partinv.gcd_symm, "divisor_matrix", perturbed)
         assert power_norm(lam) != plain
@@ -220,20 +215,20 @@ class TestDeterminant:
         for lam in all_partitions(13):
             if lam.s > 7:
                 continue
-            want = _cofactor_det([list(r) for r in gcd_matrix(lam).entries])
+            want = _cofactor_det([list(r) for r in gcd_matrix(lam)])
             assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
 
     def test_against_general_elimination(self):
         leading = (Partition.of(*range(1, k + 1)) for k in range(1, 61))
         for lam in itertools.chain(all_partitions(25), leading):
-            want = fraction_free_det([list(r) for r in gcd_matrix(lam).entries])
+            want = fraction_free_det([list(r) for r in gcd_matrix(lam)])
             assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
 
     @settings(deadline=None)
     @given(st.lists(positives, min_size=1, max_size=40))
     def test_against_general_elimination_on_random_parts(self, parts):
         lam = Partition.of(*parts)
-        want = fraction_free_det([list(r) for r in gcd_matrix(lam).entries])
+        want = fraction_free_det([list(r) for r in gcd_matrix(lam)])
         assert gcd_matrix_det_and_bounds(lam).determinant == want
 
     @pytest.mark.parametrize(
@@ -252,6 +247,15 @@ class TestDeterminant:
         result = gcd_matrix_det_and_bounds(Partition(parts))
         assert (result.determinant, result.lower, result.upper) == (0, lower, upper)
         assert not result.distinct
+
+    def test_unfactorable_part_is_refused_before_the_elimination(self, monkeypatch):
+        def refuse(upper_triangle):
+            raise AssertionError("the elimination ran before the factoring")
+
+        monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", refuse)
+        big = (2**89 - 1) * (10**17 + 3)  # no prime factor up to the trial bound
+        with pytest.raises(BoundExceededError, match="cannot factor"):
+            gcd_matrix_det_and_bounds(Partition((big, 1)))
 
     @pytest.mark.parametrize("upper", [[[1, 2], [1]], [[0, 1], [0]], [[2, 1, 1], [1, 1], [-1]]])
     def test_non_positive_pivot_is_a_consistency_error(self, upper):

@@ -6,13 +6,12 @@ from partinv import (
     InputError,
     Partition,
     concat,
-    conjugate,
     count_partitions,
     enumerate_partitions,
     parse_partition,
     scale,
-    truncate,
 )
+from util import all_partitions, conjugate
 
 partitions_strategy = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=10
@@ -138,8 +137,6 @@ class TestConjugate:
         assert conjugate(Partition((3, 3, 3))).parts == (3, 3, 3)
 
     def test_involution_exhaustive(self):
-        from util import all_partitions
-
         for lam in all_partitions(14):
             assert conjugate(conjugate(lam)) == lam
 
@@ -165,17 +162,6 @@ class TestSurgery:
         assert scale(2, Partition((2, 1))).parts == (4, 2)
         with pytest.raises(InputError):
             scale(0, Partition((2, 1)))
-
-    def test_truncate(self):
-        assert truncate(Partition((8, 2, 1)), 1).parts == (8, 2)
-        assert truncate(Partition((8, 2, 1)), 0).parts == (8, 2, 1)
-        assert truncate(Partition((8, 2, 1)), 2).parts == (8,)
-
-    def test_truncate_rejects_dropping_everything(self):
-        with pytest.raises(InputError):
-            truncate(Partition((8, 2, 1)), 3)
-        with pytest.raises(InputError):
-            truncate(Partition((8, 2, 1)), -1)
 
     @given(partitions_strategy, partitions_strategy)
     def test_concat_commutative(self, lam, mu):

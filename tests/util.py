@@ -7,7 +7,7 @@ import itertools
 import math
 from typing import Iterator
 
-from partinv import Partition, enumerate_partitions
+from partinv import Partition, Permutation, divisor_matrix, enumerate_partitions
 
 
 def all_partitions(n_max: int) -> Iterator[Partition]:
@@ -74,3 +74,52 @@ def mat_eq(a, b) -> bool:
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def permutation(n: int, *cycles: tuple[int, ...]) -> Permutation:
+    """The permutation of 1..n with the given disjoint cycles; none gives
+    the identity."""
+    images = list(range(1, n + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+    return Permutation(tuple(images))
+
+
+def compose(sigma: Permutation, tau: Permutation) -> Permutation:
+    """Left to right, like the rows of permutation matrices: i -> tau(sigma(i))."""
+    return Permutation(tuple(tau(sigma(i)) for i in range(1, sigma.n + 1)))
+
+
+def inverse(sigma: Permutation) -> Permutation:
+    images = [0] * sigma.n
+    for i, j in enumerate(sigma.images, start=1):
+        images[j - 1] = i
+    return Permutation(tuple(images))
+
+
+def cycle_type(sigma: Permutation) -> Partition:
+    """Cycle lengths in weakly decreasing order; fixed points count as 1."""
+    seen = set()
+    lengths = []
+    for start in range(1, sigma.n + 1):
+        point, length = start, 0
+        while point not in seen:
+            seen.add(point)
+            point, length = sigma(point), length + 1
+        if length:
+            lengths.append(length)
+    return Partition.of(*lengths)
+
+
+def conjugate(lam: Partition) -> Partition:
+    """Transpose of the Ferrers diagram (column lengths become parts)."""
+    return Partition(
+        tuple(sum(1 for p in lam.parts if p >= i) for i in range(1, lam.parts[0] + 1))
+    )
+
+
+def upper_gcds(lam: Partition) -> list[int]:
+    """The entries above the divisor matrix's diagonal, sorted."""
+    rows = divisor_matrix(lam)
+    return sorted(v for i, row in enumerate(rows) for v in row[i + 1 :])

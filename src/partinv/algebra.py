@@ -9,8 +9,6 @@ determined by the cycle type, through the gcd-symmetric invariants.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
@@ -92,19 +90,14 @@ def pair_orbits(sigma: Permutation) -> OrbitDecomposition:
     return OrbitDecomposition(ids=tuple(tuple(row) for row in ids), count=count)
 
 
-def dimension(lam: Partition) -> int:
-    """Rank of the fixed algebra: the gcd-matrix total.
+def dimension(lam: Partition | Invariants) -> int:
+    """Rank of the fixed algebra, sum of i^2 h_i over the h-vector.
 
-    Summed over distinct parts a, b with multiplicities m_a, m_b as
-    sum m_a * m_b * gcd(a, b), so repeated parts cost nothing extra.
+    Over a closed field the algebra is the product of h_i copies of the
+    i-by-i matrix ring, and its rank, the number of pair orbits (the
+    gcd-matrix total), does not depend on the field.
     """
-    items = list(Counter(lam.parts).items())
-    total = 0
-    for k, (a, m_a) in enumerate(items):
-        total += m_a * m_a * a
-        for b, m_b in items[k + 1 :]:
-            total += 2 * m_a * m_b * math.gcd(a, b)
-    return total
+    return sum(i * i * h for i, h in enumerate(invariants(lam).h.values, start=1))
 
 
 @dataclass(frozen=True)
@@ -138,15 +131,6 @@ class WedderburnShape:
     @property
     def n(self) -> int:
         return sum(i * h for i, h in enumerate(self.multiplicities, start=1))
-
-    @property
-    def dim(self) -> int:
-        return sum(i * i * h for i, h in enumerate(self.multiplicities, start=1))
-
-    @property
-    def blocks(self) -> int:
-        """Number of simple factors."""
-        return sum(self.multiplicities)
 
     def as_dict(self) -> dict[int, int]:
         return {i: h for i, h in enumerate(self.multiplicities, start=1)}

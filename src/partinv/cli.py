@@ -54,7 +54,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     field = _field(args)
     record = invariants(lam)
     g, h, eps = record.g, record.h, record.polynomial
-    dim = dimension(lam)
+    dim = dimension(record)
     det = gcd_matrix_det_and_bounds(lam)
     semisimple = is_semisimple(lam, field)
     shape = None
@@ -257,7 +257,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(f"--nmax must be nonnegative, got {args.nmax}")
     if args.nmax > MAX_VERIFY_N:
         raise BoundExceededError(f"--nmax above {MAX_VERIFY_N} is refused")
-    if args.matrix_cap < 0 or args.matrix_cap > MAX_MATRIX_CAP:
+    if args.matrix_cap < 0:
+        raise InputError(f"--matrix-cap must be nonnegative, got {args.matrix_cap}")
+    if args.matrix_cap > MAX_MATRIX_CAP:
         raise BoundExceededError(f"--matrix-cap must be within 0..{MAX_MATRIX_CAP}")
     report = verify_all(args.nmax, matrix_cap=args.matrix_cap)
     _emit(args, report.to_text(), report.to_json_dict())
@@ -353,6 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BoundExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits() in decimal
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"refused: a result has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 4
 
 

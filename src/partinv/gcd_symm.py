@@ -86,6 +86,11 @@ class HVector(_Vector):
                 raise ConsistencyError(f"h_{i} must be nonnegative, got {value}")
 
 
+# The closure of s parts can have 2^s - 1 elements and the shares cost its
+# size squared, so a larger closure is refused while it is being built.
+_CLOSURE_BUDGET = 4096
+
+
 def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
     """h_1..h_s from the gcd-closure of the parts (see the module docstring)."""
     multiplicity: dict[int, int] = {}
@@ -95,6 +100,8 @@ def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
     for part in multiplicity:
         closure |= {math.gcd(part, v) for v in closure}
         closure.add(part)
+        if len(closure) > _CLOSURE_BUDGET:
+            raise BoundExceededError(f"the gcd-closure has more than {_CLOSURE_BUDGET} elements")
     h = [0] * (len(parts) + 1)
     below: list[tuple[int, int]] = []
     counted = multiplicity.items()

@@ -327,7 +327,7 @@ def check_commutant_dimension(n_max: int) -> Outcomes:
 
 @_family("block multiplicity sum rules")
 def check_block_sum_rules(n_max: int) -> Outcomes:
-    """sum(i*h_i) = n, sum(i^2*h_i) = dimension, h_s = g_s, and
+    """sum(i*h_i) = n, sum(i^2*h_i) = the gcd-matrix total, h_s = g_s, and
     sum(h_i) equals the alternating g-sum."""
     for lam in _all_partitions(n_max):
         record = invariants(lam)
@@ -335,7 +335,7 @@ def check_block_sum_rules(n_max: int) -> Outcomes:
         weighted = sum(i * v for i, v in enumerate(h.values, start=1))
         squares = sum(i * i * v for i, v in enumerate(h.values, start=1))
         alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
-        dim = dimension(lam)
+        dim = sum(map(sum, gcd_matrix(lam)))
         passed = (weighted, squares, h[h.s], sum(h.values)) == (lam.n, dim, g[g.s], alternating)
         yield None if passed else Failure(
             str(lam),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partinv import (
     FieldSpec,
@@ -13,6 +15,7 @@ from partinv import (
     g_vector,
     gcd_matrix,
     h_vector,
+    invariants,
     is_semisimple,
     isomorphic,
     morita_equivalent,
@@ -210,6 +213,14 @@ class TestDimension:
         for lam in all_partitions(16):
             assert dimension(lam) == sum(map(sum, gcd_matrix(lam)))
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40))
+    def test_equals_gcd_matrix_total_on_random_parts(self, parts):
+        lam = Partition.of(*parts)
+        total = sum(map(sum, gcd_matrix(lam)))
+        assert dimension(lam) == total
+        assert dimension(invariants(lam)) == total
+
     def test_equal_parts_give_square_times_part(self):
         for a in range(1, 6):
             for s in range(1, 5):
@@ -261,7 +272,8 @@ class TestWedderburn:
         for lam in all_partitions(14):
             shape = wedderburn(lam, FieldSpec())
             assert shape.n == lam.n
-            assert shape.dim == dimension(lam)
+            squares = sum(i * i * h for i, h in shape.as_dict().items())
+            assert squares == sum(map(sum, gcd_matrix(lam)))
             assert shape.multiplicities[-1] >= 1
 
     def test_shape_in_odd_characteristic(self):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partinv
 from partinv import (
@@ -22,7 +25,7 @@ from partinv import (
 )
 from partinv.classify import MAX_CLASSIFY_SIZE, _size_lower_bound
 from partinv.cli import main
-from util import fraction_free_det
+from util import fraction_free_det, prime_quotients
 
 
 def run(capsys, *argv):
@@ -199,6 +202,110 @@ class TestLargeParts:
         shape = wedderburn(Partition((self.BIG, 1)), FieldSpec())
         assert shape.multiplicities == (self.BIG - 1, 1)
         assert time.perf_counter() - start < 1
+
+
+class TestClosureBudget:
+    # P/p_i over the first s primes: a gcd-closure of 2^s - 1 elements.
+
+    def test_twelve_prime_quotients_answer(self, capsys):
+        parts = str(prime_quotients(12))
+        code, out, _ = run(capsys, "iso", parts, parts)
+        assert code == 0
+        assert out.endswith("isomorphic: yes\n")
+
+    @pytest.mark.parametrize("s", [13, 30])
+    def test_more_prime_quotients_are_refused_at_once(self, capsys, s):
+        parts = str(prime_quotients(s))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iso", parts, parts)
+        assert time.perf_counter() - start < 1
+        assert code == 4
+        assert out == ""
+        assert "gcd-closure" in err
+
+    def test_analyze_on_ten_thousand_distinct_parts_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", ",".join(map(str, range(1, 10001))))
+        assert time.perf_counter() - start < 3
+        assert code == 4
+        assert out == ""
+        assert "gcd-closure" in err
+
+
+class TestDigitLimit:
+    # Python writes no int past sys.get_int_max_str_digits() (4300 by
+    # default) in decimal; such a report is refused, not half printed.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", ",".join(["1"] * 2000), "--format", "json"],  # the upper bound
+            ["analyze", f"{2**7300},{2**7301}"],  # the determinant
+            ["iso", ",".join(["1"] * 15000), ",".join(["1"] * 15000)],  # the polynomial
+        ],
+        ids=["analyze-json", "analyze-text", "iso"],
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("refused: ")
+
+    def test_other_value_errors_propagate(self, capsys, monkeypatch):
+        from partinv import cli
+
+        def broken(args):
+            raise ValueError("not a conversion limit")
+
+        monkeypatch.setattr(cli, "_cmd_iso", broken)
+        with pytest.raises(ValueError, match="not a conversion limit"):
+            main(["iso", "2,1", "3"])
+
+
+def _joined(parts) -> str:
+    return ",".join(map(str, parts))
+
+
+_part = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=10**40 - 1),
+)
+_side = st.one_of(
+    st.lists(_part, min_size=1, max_size=60).map(_joined),
+    st.integers(min_value=1, max_value=30).map(lambda s: str(prime_quotients(s))),
+)
+_characteristic = st.one_of(
+    st.just(0),
+    st.sampled_from([2, 3, 1000000007, 2**61 - 1]),
+    st.integers(min_value=-10, max_value=10**30),
+)
+
+
+@st.composite
+def _adversarial_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["analyze", "compare", "iso", "morita"]))
+    if command == "analyze":
+        # The gcd-matrix determinant has no cost cap yet, so fewer parts.
+        argv = [command, _joined(draw(st.lists(_part, min_size=1, max_size=30)))]
+    else:
+        argv = [command, draw(_side), draw(_side)]
+    argv += ["--char", str(draw(_characteristic))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+class TestAdversarialInputs:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(_adversarial_argv())
+    def test_every_query_answers_or_is_refused_in_time(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 5
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestIsoMoritaSubcommands:
@@ -405,6 +512,10 @@ class TestVerify:
     def test_matrix_cap_bound(self, capsys):
         code, _, err = run(capsys, "verify", "--nmax", "5", "--matrix-cap", "99")
         assert code == 4
+        code, out, err = run(capsys, "verify", "--nmax", "5", "--matrix-cap", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestHarness:

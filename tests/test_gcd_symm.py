@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from partinv import (
     gcd_matrix,
     gcd_matrix_det_and_bounds,
     h_vector,
+    invariants,
     is_prime,
     power_norm,
     scale,
 )
-from util import all_partitions, fraction_free_det, subset_gcd_sum
+from util import all_partitions, fraction_free_det, prime_quotients, subset_gcd_sum
 
 naturals = st.integers(min_value=0, max_value=10**9)
 positives = st.integers(min_value=1, max_value=10**6)
@@ -131,6 +133,31 @@ class TestHVector:
             assert sum(h.values) == alternating
             assert h[h.s] == g[g.s]
             assert all(v >= 0 for v in h.values)
+
+
+class TestClosureBudget:
+    # The parts P/p_i over the first s primes have a gcd-closure of 2^s - 1
+    # elements: 4095 at s = 12, just under the budget, and 8191 at s = 13.
+
+    def test_answers_just_under_the_budget(self):
+        lam = prime_quotients(12)
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        # A divisor d of P lies in exactly the parts P/p with p not dividing
+        # d, so h_i sums phi(d) over the d with 12 - i prime factors.
+        want = tuple(
+            sum(math.prod(p - 1 for p in d) for d in itertools.combinations(primes, 12 - i))
+            for i in range(1, 13)
+        )
+        assert invariants(lam).h.values == want
+        assert h_vector(g_vector(lam)).values == want
+
+    @pytest.mark.parametrize("derive", [invariants, g_vector])
+    def test_refuses_just_above_the_budget(self, derive):
+        lam = prime_quotients(13)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="gcd-closure"):
+            derive(lam)
+        assert time.perf_counter() - start < 1
 
 
 class TestMatrices:

@@ -119,6 +119,20 @@ def conjugate(lam: Partition) -> Partition:
     )
 
 
+def prime_quotients(s: int) -> Partition:
+    """The parts P/p_1, ..., P/p_s, where p_i are the first s primes and P is
+    their product.  Their gcd-closure has 2^s - 1 elements, one per
+    non-empty set of primes left out."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < s:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    product = math.prod(primes)
+    return Partition.of(*(product // p for p in primes))
+
+
 def upper_gcds(lam: Partition) -> list[int]:
     """The entries above the divisor matrix's diagonal, sorted."""
     rows = divisor_matrix(lam)

@@ -266,16 +266,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _add_format(parser: argparse.ArgumentParser, *, csv: bool = False) -> None:
-    choices = ["text", "json", "csv"] if csv else ["text", "json"]
-    parser.add_argument("--format", choices=choices, default="text")
+_FIELD_FLAGS = (
+    ("--char", dict(type=int, default=0, metavar="P",
+                    help="field characteristic, 0 or a prime (default 0)")),
+    ("--not-closed", dict(action="store_true",
+                          help="field is not algebraically closed; disables block decompositions")),
+)
 
-
-def _add_field_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--char", type=int, default=0, metavar="P",
-                        help="field characteristic, 0 or a prime (default 0)")
-    parser.add_argument("--not-closed", action="store_true",
-                        help="field is not algebraically closed; disables block decompositions")
+# The argument shapes, each declared once, with the (name, help, handler)
+# rows that share it, in the order the help lists them.  Every subcommand
+# ends with --format; only classify also writes csv.
+_SHAPES = (
+    (
+        (("partition", dict(help="comma-separated parts, e.g. 8,2,1")), *_FIELD_FLAGS),
+        (("analyze", "all invariants of one partition", _cmd_analyze),),
+    ),
+    (
+        (("left", {}), ("right", {}), *_FIELD_FLAGS),
+        (
+            ("compare", "equivalence, isomorphism and Morita verdicts", _cmd_compare),
+            ("iso", "isomorphism verdict only", _cmd_iso),
+            ("morita", "Morita verdict only", _cmd_morita),
+        ),
+    ),
+    (
+        (("s", dict(type=int)), ("n", dict(type=int))),
+        (
+            ("classify", "equivalence classes of P(s,n)", _cmd_classify),
+            ("self-equivalent", "partitions alone in their class", _cmd_self_equivalent),
+            ("count", "p, i and e numbers of P(s,n)", _cmd_count),
+        ),
+    ),
+    (
+        (("--nmax", dict(type=int, default=10)),
+         ("--matrix-cap", dict(type=int, default=12, dest="matrix_cap"))),
+        (("verify", "run the oracle cross-check sweep", _cmd_verify),),
+    ),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,65 +311,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact partition invariants and fixed-matrix-algebra decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="all invariants of one partition")
-    p.add_argument("partition", help="comma-separated parts, e.g. 8,2,1")
-    _add_field_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("compare", help="equivalence, isomorphism and Morita verdicts")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_field_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_compare)
-
-    p = sub.add_parser("iso", help="isomorphism verdict only")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_field_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_iso)
-
-    p = sub.add_parser("morita", help="Morita verdict only")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_field_flags(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_morita)
-
-    p = sub.add_parser("classify", help="equivalence classes of P(s,n)")
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    _add_format(p, csv=True)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("self-equivalent", help="partitions alone in their class")
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_self_equivalent)
-
-    p = sub.add_parser("count", help="p, i and e numbers of P(s,n)")
-    p.add_argument("s", type=int)
-    p.add_argument("n", type=int)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("verify", help="run the oracle cross-check sweep")
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--matrix-cap", type=int, default=12, dest="matrix_cap")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    for arguments, rows in _SHAPES:
+        for name, help_text, handler in rows:
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            formats = ["text", "json", "csv"] if name == "classify" else ["text", "json"]
+            p.add_argument("--format", choices=formats, default="text")
+            p.set_defaults(handler=handler)
     return parser
 
 
+# Nothing in the parser depends on argv, so it is built once, at import;
+# parse_args gives every call its own namespace.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

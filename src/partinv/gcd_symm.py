@@ -22,9 +22,10 @@ parts d divides gives, in increasing order of v,
 and f(v) is added to h_i for i = number of parts (with multiplicity)
 divisible by v.  Then g_i = sum_j C(j, i) h_j.  No factorization is needed,
 and the closure is never larger than the sets of subset gcds of each size.
-The triangular divisor matrix of pairwise gcds ties g_{i+1} to the norm of
-its i-th power, and the full gcd matrix carries the dimension data of the
-fixed-matrix algebra.  All arithmetic is exact; no floating point.
+The triangular divisor matrix of pairwise gcds (the strict upper triangle
+of the gcd matrix) ties g_{i+1} to the norm of its i-th power, and the full
+gcd matrix carries the dimension data of the fixed-matrix algebra.  All
+arithmetic is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -150,16 +151,6 @@ def h_vector(g: GVector) -> HVector:
 Rows = tuple[tuple[int, ...], ...]
 
 
-def divisor_matrix(lam: Partition) -> Rows:
-    """Strictly upper triangular matrix of pairwise gcds of the parts, by rows."""
-    parts = lam.parts
-    s = lam.s
-    return tuple(
-        tuple(math.gcd(parts[i], parts[j]) if j > i else 0 for j in range(s))
-        for i in range(s)
-    )
-
-
 def gcd_matrix(lam: Partition) -> Rows:
     """Symmetric matrix of pairwise gcds, by rows; the diagonal is the parts."""
     parts = lam.parts
@@ -169,6 +160,8 @@ def gcd_matrix(lam: Partition) -> Rows:
 def power_norm(lam: Partition) -> tuple[int, ...]:
     """Norms of the powers D, D^2, ..., D^(s-1) of the triangular divisor matrix.
 
+    D is the strict upper triangle of :func:`gcd_matrix`.
+
     An entry of D^i is a sum of monomials indexed by strict index chains
     j_0 < j_1 < ... < j_i; evaluating a monomial collapses repeated factors
     (the product is idempotent), leaving the gcd of the entries on the chain.
@@ -177,7 +170,7 @@ def power_norm(lam: Partition) -> tuple[int, ...]:
     of length i.  Deliberately not computed as g_{i+1}: that equality is a
     theorem, exercised by the test suite.
     """
-    entries = divisor_matrix(lam)
+    entries = gcd_matrix(lam)
     norms = [0] * (len(entries) - 1)
     # ending[k][t]: chains of t + 1 steps ending at index k, counted by gcd.
     ending: list[list[dict[int, int]]] = []
@@ -230,20 +223,24 @@ _TRIAL_BOUND = 10**6
 def _prime_factors(m: int) -> set[int]:
     """The distinct prime factors of m >= 1.
 
-    By trial division up to ``_TRIAL_BOUND``.  A cofactor left past it with
-    no divisor up to there is the last factor when :func:`is_prime` accepts
-    it; any other, one at or above psi_13 included, is refused with
-    :class:`BoundExceededError`.
+    By trial division up to ``_TRIAL_BOUND``.  A cofactor above that bound
+    and below psi_13 that :func:`is_prime` accepts is the last factor; it is
+    tested before the division starts and after each factor is divided out,
+    so a large prime is never trial-divided.  Any other cofactor left with
+    no divisor up to the bound, one at or above psi_13 included, is refused
+    with :class:`BoundExceededError`.
     """
     factors = set()
     p = 2
-    while p * p <= m and p <= _TRIAL_BOUND:
+    last = _TRIAL_BOUND < m < _WITNESS_BOUND and is_prime(m)
+    while not last and p * p <= m and p <= _TRIAL_BOUND:
         if m % p == 0:
             factors.add(p)
             while m % p == 0:
                 m //= p
+            last = _TRIAL_BOUND < m < _WITNESS_BOUND and is_prime(m)
         p += 1
-    if p * p <= m and (m >= _WITNESS_BOUND or not is_prime(m)):
+    if not last and p * p <= m:
         raise BoundExceededError(
             f"cannot factor {m}: it has no prime factor up to {_TRIAL_BOUND}"
             f" and is not a prime below {_WITNESS_BOUND}"

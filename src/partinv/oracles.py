@@ -24,7 +24,6 @@ from .errors import BoundExceededError, InputError
 from .gcd_symm import (
     HVector,
     _prime_factors,
-    divisor_matrix,
     g_vector,
     gcd_matrix,
     gcd_matrix_det_and_bounds,
@@ -470,8 +469,8 @@ def check_concat_classes(n_max: int) -> Outcomes:
 
 
 def _upper_gcds(lam: Partition) -> tuple[int, ...]:
-    """The entries above the divisor matrix's diagonal, sorted: a multiset key."""
-    rows = divisor_matrix(lam)
+    """The entries above the gcd matrix's diagonal, sorted: a multiset key."""
+    rows = gcd_matrix(lam)
     return tuple(sorted(v for i, row in enumerate(rows) for v in row[i + 1 :]))
 
 

@@ -253,10 +253,10 @@ class TestDigitLimit:
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
         from partinv import cli
 
-        def broken(args):
+        def broken(*args):
             raise ValueError("not a conversion limit")
 
-        monkeypatch.setattr(cli, "_cmd_iso", broken)
+        monkeypatch.setattr(cli, "isomorphic", broken)
         with pytest.raises(ValueError, match="not a conversion limit"):
             main(["iso", "2,1", "3"])
 
@@ -532,3 +532,64 @@ class TestHarness:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+COMMANDS = ["analyze", "compare", "iso", "morita", "classify", "self-equivalent", "count", "verify"]
+# One command of each argument shape.
+SHAPES = [
+    ["analyze", "8,2,1"],
+    ["iso", "4,2", "3,3", "--format", "json"],
+    ["classify", "3", "9", "--format", "csv"],
+    ["verify", "--nmax", "4"],
+]
+
+
+def run_module(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "partinv.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: partinv {command}")
+
+    @pytest.mark.parametrize(
+        "argv", [["compare", "8,2,1"], ["morita"], ["count", "3"], ["classify"]]
+    )
+    def test_missing_positional(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "required" in err
+
+    def test_no_parser_is_built_per_call(self, capsys, monkeypatch):
+        import argparse
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an ArgumentParser was built after import")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        for argv in SHAPES:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert out
+
+    def test_nothing_leaks_between_calls(self, capsys):
+        fresh = run_module("analyze", "4,1")
+        assert fresh.returncode == 0
+        assert run(capsys, "analyze", "4,1", "--char", "3", "--not-closed", "--format", "json")[0] == 0
+        assert run(capsys, "analyze", "4,1") == (0, fresh.stdout, fresh.stderr)
+
+    def test_fresh_interpreter(self):
+        result = run_module("--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: partinv ")
+        result = run_module("analyze", "8,2,1")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[:3] == ["partition: 8,2,1", "n: 11", "s: 3"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -12,7 +13,6 @@ from partinv import (
     ConsistencyError,
     GVector,
     Partition,
-    divisor_matrix,
     euler_phi,
     g_vector,
     gcd_matrix,
@@ -161,11 +161,14 @@ class TestClosureBudget:
 
 
 class TestMatrices:
+    # The divisor matrix is the strict upper triangle of the gcd matrix.
     def test_divisor_matrix_example(self):
-        assert divisor_matrix(Partition((8, 2, 1))) == ((0, 2, 1), (0, 0, 1), (0, 0, 0))
+        rows = gcd_matrix(Partition((8, 2, 1)))
+        assert [row[i + 1 :] for i, row in enumerate(rows)] == [(2, 1), (1,), ()]
 
     def test_divisor_matrix_single_part(self):
-        assert divisor_matrix(Partition((9,))) == ((0,),)
+        rows = gcd_matrix(Partition((9,)))
+        assert [row[i + 1 :] for i, row in enumerate(rows)] == [()]
 
     def test_gcd_matrix_example(self):
         assert gcd_matrix(Partition((3, 2, 1))) == ((3, 1, 1), (1, 2, 1), (1, 1, 1))
@@ -196,12 +199,14 @@ class TestPowerNorm:
         lam = Partition((12, 8, 4))
         plain = power_norm(lam)
 
+        real = partinv.gcd_symm.gcd_matrix
+
         def perturbed(mu):
-            entries = [list(row) for row in divisor_matrix(mu)]
+            entries = [list(row) for row in real(mu)]
             entries[0][1] += 1
             return tuple(tuple(row) for row in entries)
 
-        monkeypatch.setattr(partinv.gcd_symm, "divisor_matrix", perturbed)
+        monkeypatch.setattr(partinv.gcd_symm, "gcd_matrix", perturbed)
         assert power_norm(lam) != plain
 
 
@@ -325,6 +330,17 @@ class TestEulerPhi:
         assert euler_phi(2 * prime) == prime - 1
         with pytest.raises(BoundExceededError):
             euler_phi(1000003 * 1000033)  # both primes are above the bound
+
+    def test_large_primes_are_not_trial_divided(self):
+        rng = random.Random(1)
+        primes = set()
+        while len(primes) < 30:
+            candidate = rng.randrange(10**18, 10**19)
+            if is_prime(candidate):
+                primes.add(candidate)
+        start = time.perf_counter()
+        assert all(euler_phi(p) == p - 1 for p in primes)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIsPrime:

@@ -7,7 +7,7 @@ import itertools
 import math
 from typing import Iterator
 
-from partinv import Partition, Permutation, divisor_matrix, enumerate_partitions
+from partinv import Partition, Permutation, enumerate_partitions, gcd_matrix
 
 
 def all_partitions(n_max: int) -> Iterator[Partition]:
@@ -134,6 +134,6 @@ def prime_quotients(s: int) -> Partition:
 
 
 def upper_gcds(lam: Partition) -> list[int]:
-    """The entries above the divisor matrix's diagonal, sorted."""
-    rows = divisor_matrix(lam)
+    """The entries above the gcd matrix's diagonal, sorted."""
+    rows = gcd_matrix(lam)
     return sorted(v for i, row in enumerate(rows) for v in row[i + 1 :])

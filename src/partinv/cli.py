@@ -2,13 +2,14 @@
 
 Exit codes: 0 success (verdicts are data, not errors), 1 verification
 failure, 2 bad input or violated precondition, 3 internal consistency
-violation, 4 refused resource bound.
+violation, 4 refused resource bound, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import (
@@ -333,7 +334,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at the null device, so that the
+        # flush at interpreter exit has somewhere to write.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

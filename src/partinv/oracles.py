@@ -1,9 +1,9 @@
 """Independent brute-force verifiers for every closed-form invariant.
 
 Each oracle recomputes a quantity from its raw definition: subset
-enumeration (the g family walks sub-multisets of the parts, and
-:func:`brute_g`, the literal walk over index subsets, is pinned to it by the
-tests), explicit roots of unity as reduced fractions, the nullity of the
+enumeration (the g family walks sub-multisets of the parts and, for n <= 12,
+checks that walk against :func:`brute_g`, the literal walk over index
+subsets), explicit roots of unity as reduced fractions, the nullity of the
 actual commutation linear system, all with exact integer arithmetic, never
 floating point.  The check families compare these against the closed-form
 implementations over exhaustive sweeps and report every mismatch.
@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Permutation, canonical_permutation, dimension, pair_orbits, perm_matrix
 from .classify import classify
@@ -31,7 +31,7 @@ from .gcd_symm import (
     is_prime,
     power_norm,
 )
-from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
+from .partition_poly import Invariants, distinct_eigenvalue_count, equivalent, invariants
 from .partitions import Partition, concat, enumerate_partitions, scale
 
 
@@ -59,8 +59,9 @@ def root_union(lam: Partition) -> set[ReducedFraction]:
     return union
 
 
-def eigenvalue_multiplicities(lam: Partition) -> HVector:
-    """h_i by direct counting: how many roots lie in exactly i part-groups.
+def eigenvalue_multiplicities(lam: Partition, roots: set[ReducedFraction]) -> HVector:
+    """h_i by direct counting: how many of ``roots``, the :func:`root_union`
+    of ``lam``, lie in exactly i part-groups.
 
     A reduced k/l is an m-th root of unity iff l divides m*k, which given
     gcd(k, l) = 1 is just l | m.  So every root with denominator l lies in
@@ -68,9 +69,9 @@ def eigenvalue_multiplicities(lam: Partition) -> HVector:
     arithmetic.
     """
     counts = [0] * (lam.s + 1)
-    for l, roots in Counter(l for _, l in root_union(lam)).items():
+    for l, with_l in Counter(l for _, l in roots).items():
         inside = sum(1 for part in lam.parts if part % l == 0)
-        counts[inside] += roots
+        counts[inside] += with_l
     return HVector(tuple(counts[1:]))
 
 
@@ -79,8 +80,8 @@ def brute_g(lam: Partition, i: int) -> int:
 
     ``combinations`` walks the index subsets in order (equal parts are kept
     apart by position), so this is the raw definition with no incremental
-    shortcut.  The tests pin :func:`_multiset_g`, the oracle the g family
-    checks g_vector against, to it.
+    shortcut.  The g family checks :func:`_multiset_g`, its oracle for
+    g_vector, against it for n <= 12, and the tests do so further.
     """
     if not 1 <= i <= lam.s:
         raise InputError(f"subset size {i} outside 1..{lam.s} for {lam}")
@@ -231,10 +232,17 @@ class VerificationReport:
         }
 
 
-def _all_partitions(n_max: int) -> Iterator[Partition]:
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            yield from enumerate_partitions(s, n)
+class _Sample(NamedTuple):
+    """One partition of a table, with the values that several families read."""
+
+    lam: Partition
+    record: Invariants
+    roots: set[ReducedFraction]
+    gcd_total: int
+
+
+def _sample(lam: Partition) -> _Sample:
+    return _Sample(lam, invariants(lam), root_union(lam), sum(map(sum, gcd_matrix(lam))))
 
 
 Outcome = Failure | None
@@ -242,8 +250,9 @@ Outcomes = Iterator[Outcome]
 
 
 def _family(name: str):
-    """Make a check family of a sweep that yields one outcome per instance:
-    ``None`` where the instance passes, its :class:`Failure` where it fails."""
+    """Make a check family of a sweep over one table's samples that yields
+    one outcome per instance: ``None`` where the instance passes, its
+    :class:`Failure` where it fails."""
 
     def decorate(sweep: Callable[..., Outcomes]) -> Callable[..., FamilyResult]:
         @functools.wraps(sweep)
@@ -262,29 +271,38 @@ def _compare(lam: Partition, expected, actual) -> Outcome:
     return None if actual == expected else Failure(str(lam), str(expected), str(actual))
 
 
+_BRUTE_G_MAX_N = 12
+
+
 @_family("g-vector vs subset enumeration")
-def check_g_vector_vs_brute(n_max: int) -> Outcomes:
-    """g-vector (from the gcd-closure) against sub-multiset enumeration."""
-    for lam in _all_partitions(n_max):
-        yield _compare(lam, _multiset_g(lam), g_vector(lam).values)
+def check_g_vector_vs_brute(samples: list[_Sample]) -> Outcomes:
+    """g-vector (from the gcd-closure) against sub-multiset enumeration, and
+    for n <= 12 that enumeration against the literal index-subset sums."""
+    for lam, *_ in samples:
+        multiset = _multiset_g(lam)
+        outcome = _compare(lam, multiset, g_vector(lam).values)
+        if outcome is None and lam.n <= _BRUTE_G_MAX_N:
+            literal = tuple(brute_g(lam, i) for i in range(1, lam.s + 1))
+            if literal != multiset:
+                outcome = Failure(str(lam), f"brute_g={literal}", f"multiset={multiset}")
+        yield outcome
 
 
 @_family("power norm vs g-vector")
-def check_power_norm_vs_g(n_max: int) -> Outcomes:
+def check_power_norm_vs_g(samples: list[_Sample]) -> Outcomes:
     """Divisor-matrix power norms against the shifted g-vector."""
-    for lam in _all_partitions(n_max):
-        g = g_vector(lam)
+    for lam, record, *_ in samples:
+        g = record.g
         for i, norm in enumerate(power_norm(lam), start=1):
             yield None if norm == g[i + 1] else Failure(f"{lam} i={i}", str(g[i + 1]), str(norm))
 
 
 @_family("h-vector vs root counting")
-def check_h_vector_vs_roots(n_max: int) -> Outcomes:
+def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
     """Direct root-of-unity counting against the reported (gcd-closure)
     h-vector and the inclusion-exclusion transform of the g-vector."""
-    for lam in _all_partitions(n_max):
-        expected = eigenvalue_multiplicities(lam).values
-        record = invariants(lam)
+    for lam, record, roots, _ in samples:
+        expected = eigenvalue_multiplicities(lam, roots).values
         reported, transformed = record.h.values, h_vector(record.g).values
         yield None if expected == reported == transformed else Failure(
             str(lam), str(expected), f"h={reported} from_g={transformed}"
@@ -292,11 +310,10 @@ def check_h_vector_vs_roots(n_max: int) -> Outcomes:
 
 
 @_family("inclusion-exclusion union size")
-def check_inclusion_exclusion(n_max: int) -> Outcomes:
+def check_inclusion_exclusion(samples: list[_Sample]) -> Outcomes:
     """|union of root groups| vs alternating g-sum vs the eigenvalue count."""
-    for lam in _all_partitions(n_max):
-        expected = len(root_union(lam))
-        record = invariants(lam)
+    for lam, record, roots, _ in samples:
+        expected = len(roots)
         alternating = sum(v if i % 2 else -v for i, v in enumerate(record.g, start=1))
         counted = distinct_eigenvalue_count(record)
         yield None if expected == alternating == counted else Failure(
@@ -305,36 +322,33 @@ def check_inclusion_exclusion(n_max: int) -> Outcomes:
 
 
 @_family("orbit count vs gcd sum")
-def check_orbit_count_vs_gcd_sum(n_max: int) -> Outcomes:
+def check_orbit_count_vs_gcd_sum(samples: list[_Sample]) -> Outcomes:
     """Pair-orbit walking against the gcd-matrix total and the dimension."""
-    for lam in _all_partitions(n_max):
+    for lam, record, _, total in samples:
         walked = pair_orbits(canonical_permutation(lam)).count
-        total = sum(map(sum, gcd_matrix(lam)))
-        dim = dimension(lam)
+        dim = dimension(record)
         yield None if walked == total == dim else Failure(
             str(lam), str(total), f"walk={walked} dim={dim}"
         )
 
 
 @_family("commutant nullity vs gcd sum")
-def check_commutant_dimension(n_max: int) -> Outcomes:
+def check_commutant_dimension(samples: list[_Sample]) -> Outcomes:
     """Exact nullity of the commutation system against the gcd-matrix total."""
-    for lam in _all_partitions(n_max):
-        actual = commutant_dimension(canonical_permutation(lam), max_degree=n_max)
-        yield _compare(lam, sum(map(sum, gcd_matrix(lam))), actual)
+    for lam, _, _, total in samples:
+        actual = commutant_dimension(canonical_permutation(lam), max_degree=lam.n)
+        yield _compare(lam, total, actual)
 
 
 @_family("block multiplicity sum rules")
-def check_block_sum_rules(n_max: int) -> Outcomes:
+def check_block_sum_rules(samples: list[_Sample]) -> Outcomes:
     """sum(i*h_i) = n, sum(i^2*h_i) = the gcd-matrix total, h_s = g_s, and
     sum(h_i) equals the alternating g-sum."""
-    for lam in _all_partitions(n_max):
-        record = invariants(lam)
+    for lam, record, _, dim in samples:
         g, h = record.g, record.h
         weighted = sum(i * v for i, v in enumerate(h.values, start=1))
         squares = sum(i * i * v for i, v in enumerate(h.values, start=1))
         alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
-        dim = sum(map(sum, gcd_matrix(lam)))
         passed = (weighted, squares, h[h.s], sum(h.values)) == (lam.n, dim, g[g.s], alternating)
         yield None if passed else Failure(
             str(lam),
@@ -344,9 +358,9 @@ def check_block_sum_rules(n_max: int) -> Outcomes:
 
 
 @_family("gcd determinant bounds")
-def check_determinant_bounds(n_max: int) -> Outcomes:
+def check_determinant_bounds(samples: list[_Sample]) -> Outcomes:
     """For pairwise distinct parts: totient product <= det <= part product - s!/2."""
-    for lam in _all_partitions(n_max):
+    for lam, *_ in samples:
         if len(set(lam.parts)) != lam.s:
             continue
         result = gcd_matrix_det_and_bounds(lam)
@@ -360,10 +374,9 @@ _SCALE_FACTORS = range(2, 5)
 
 
 @_family("scaling invariance")
-def check_scaling_invariance(n_max: int) -> Outcomes:
+def check_scaling_invariance(samples: list[_Sample]) -> Outcomes:
     """g(d*lam) = d*g(lam) elementwise and identical polynomials, d = 2..4."""
-    for lam in _all_partitions(n_max):
-        base = invariants(lam)
+    for lam, base, *_ in samples:
         for d in _SCALE_FACTORS:
             scaled = invariants(scale(d, lam))
             want_g = tuple(d * v for v in base.g.values)
@@ -489,27 +502,62 @@ def check_multiset_sufficiency(n_max: int) -> Outcomes:
                     )
 
 
+def _sweep(
+    plan: Sequence[tuple[Callable[[list[_Sample]], FamilyResult], int]],
+) -> tuple[FamilyResult, ...]:
+    """Run each ``(family, bound)`` of ``plan`` on every partition with n <= bound.
+
+    Each table P(s, n) up to the largest bound is enumerated once, and each
+    of its partitions is sampled once: its invariants, root union and
+    gcd-matrix total.  Every family whose bound reaches n then checks the
+    table's samples, and its results are added up over the tables.  Only
+    one table's samples are held at a time.  Results are in plan order.
+    """
+    totals = [family([]) for family, _ in plan]
+    n_max = max((bound for _, bound in plan), default=0)
+    for n in range(1, n_max + 1):
+        for s in range(1, n + 1):
+            samples = [_sample(lam) for lam in enumerate_partitions(s, n)]
+            for k, (family, bound) in enumerate(plan):
+                if n <= bound:
+                    table, total = family(samples), totals[k]
+                    totals[k] = FamilyResult(
+                        total.family,
+                        total.instances + table.instances,
+                        total.failures + table.failures,
+                    )
+    return tuple(totals)
+
+
 def verify_all(n_max: int, *, matrix_cap: int = 12) -> VerificationReport:
     """Run every check family up to ``n_max``.
 
-    Matrix-backed families (orbit walking, commutation-system nullity) are
-    additionally capped at ``matrix_cap``; the sampling families use smaller
-    internal bounds because their instance counts grow quadratically.
-    Family order is fixed, so reports are deterministic.
+    The nine per-partition families share one sweep: each table P(s, n) is
+    enumerated once and each partition's invariants, root union and
+    gcd-matrix total are built once (the g family also checks its
+    sub-multiset oracle against :func:`brute_g` for n <= 12).  Matrix-backed
+    families (orbit walking, commutation-system nullity) are additionally
+    capped at ``matrix_cap``; the three pair families walk their own tables
+    with smaller internal bounds because their instance counts grow
+    quadratically.  Family order is fixed, so reports are deterministic.
     """
     if n_max < 0:
         raise InputError(f"n_max must be nonnegative, got {n_max}")
     matrix_bound = min(n_max, matrix_cap)
     families = (
-        check_g_vector_vs_brute(n_max),
-        check_power_norm_vs_g(n_max),
-        check_h_vector_vs_roots(n_max),
-        check_inclusion_exclusion(n_max),
-        check_orbit_count_vs_gcd_sum(matrix_bound),
-        check_commutant_dimension(matrix_bound),
-        check_block_sum_rules(n_max),
-        check_determinant_bounds(n_max),
-        check_scaling_invariance(n_max),
+        *_sweep(
+            (
+                (check_g_vector_vs_brute, n_max),
+                (check_power_norm_vs_g, n_max),
+                (check_h_vector_vs_roots, n_max),
+                (check_inclusion_exclusion, n_max),
+                (check_orbit_count_vs_gcd_sum, matrix_bound),
+                (check_commutant_dimension, matrix_bound),
+                (check_block_sum_rules, n_max),
+                (check_determinant_bounds, n_max),
+                (check_scaling_invariance, n_max),
+            )
+        ),
         check_append_part(min(n_max, 12)),
         check_concat_classes(min(n_max, 10)),
         check_multiset_sufficiency(min(n_max, 14)),

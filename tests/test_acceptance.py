@@ -36,6 +36,7 @@ from partinv.oracles import (
     check_orbit_count_vs_gcd_sum,
     check_power_norm_vs_g,
     check_scaling_invariance,
+    _sweep,
 )
 from util import upper_gcds
 
@@ -58,13 +59,12 @@ def criterion(number, description):
     return decorate
 
 
-def _passed(family_result):
+def _passed(family_result, instances):
     assert family_result.passed, (
         family_result.family,
         family_result.failures[:3],
     )
-    assert family_result.instances > 0
-    return family_result
+    assert family_result.instances == instances, family_result.family
 
 
 @criterion(1, "equivalence chain and non-equivalence in P(3,11)")
@@ -116,20 +116,27 @@ def test_criterion_3_algebra_decisions():
 
 @criterion(4, "exhaustive oracle agreement (subset sums, roots, orbits, nullity)")
 def test_criterion_4_oracle_agreement():
-    _passed(check_g_vector_vs_brute(25))
-    _passed(check_power_norm_vs_g(25))
-    _passed(check_h_vector_vs_roots(30))
-    _passed(check_inclusion_exclusion(30))
-    _passed(check_block_sum_rules(30))
-    _passed(check_orbit_count_vs_gcd_sum(10))
-    _passed(check_commutant_dimension(12))
+    # (family, bound, instances): the counts are those of the exhaustive sweeps.
+    plan = (
+        (check_g_vector_vs_brute, 25, 9295),
+        (check_power_norm_vs_g, 25, 62702),
+        (check_h_vector_vs_roots, 30, 28628),
+        (check_inclusion_exclusion, 30, 28628),
+        (check_block_sum_rules, 30, 28628),
+        (check_orbit_count_vs_gcd_sum, 10, 138),
+        (check_commutant_dimension, 12, 271),
+    )
+    results = _sweep([(family, bound) for family, bound, _ in plan])
+    for result, (_, _, instances) in zip(results, plan, strict=True):
+        _passed(result, instances)
 
 
 @criterion(5, "surgery laws and coprime-parts decisions")
 def test_criterion_5_surgery_laws():
-    _passed(check_scaling_invariance(20))
-    _passed(check_append_part(12))
-    _passed(check_concat_classes(10))
+    (scaling,) = _sweep([(check_scaling_invariance, 20)])
+    _passed(scaling, 8139)
+    _passed(check_append_part(12), 505)
+    _passed(check_concat_classes(10), 80)
 
     # equal off-diagonal gcd multisets force equivalence, exhaustively
     for n in range(2, 19):

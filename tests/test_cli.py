@@ -593,3 +593,20 @@ class TestDeclaration:
         result = run_module("analyze", "8,2,1")
         assert result.returncode == 0
         assert result.stdout.splitlines()[:3] == ["partition: 8,2,1", "n: 11", "s: 3"]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [*SHAPES, ["classify", "7", "40", "--format", "csv"]])
+    def test_closed_pipe_exits_141_quietly(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "partinv.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        child.stdout.close()  # before the child can have written anything
+        try:
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == 141
+        assert err == b""

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,11 @@ from partinv import (
     gcd_matrix,
     h_vector,
     root_union,
+    scale,
     verify_all,
 )
 import partinv.oracles
-from partinv.oracles import ReducedFraction, _exact_rank, _multiset_g
+from partinv.oracles import Failure, ReducedFraction, _exact_rank, _multiset_g
 from util import all_partitions, permutation
 
 
@@ -65,12 +67,13 @@ class TestEigenvalueMultiplicities:
         "parts,h", [((4, 2), (2, 2)), ((9,), (9,)), ((2, 2), (0, 2))]
     )
     def test_fixtures(self, parts, h):
-        assert eigenvalue_multiplicities(Partition(parts)).values == h
+        lam = Partition(parts)
+        assert eigenvalue_multiplicities(lam, root_union(lam)).values == h
 
     def test_matches_inclusion_exclusion(self):
         for lam in all_partitions(14):
             assert (
-                eigenvalue_multiplicities(lam).values
+                eigenvalue_multiplicities(lam, root_union(lam)).values
                 == h_vector(g_vector(lam)).values
             )
 
@@ -238,6 +241,50 @@ class TestVerifyAll:
         assert failing[0].failures[0].input == "4,2"
         assert failing[0].failures[0].expected == "(6, 1)"
         assert failing[0].failures[0].actual == "(6, 2)"
+
+    def test_brute_g_fault_is_reported(self, monkeypatch):
+        real = partinv.oracles.brute_g
+
+        def off_by_one_on_4_2(lam, i):
+            value = real(lam, i)
+            return value - 1 if lam == Partition((4, 2)) and i == 2 else value
+
+        monkeypatch.setattr(partinv.oracles, "brute_g", off_by_one_on_4_2)
+        failing = [f for f in verify_all(6).families if not f.passed]
+        assert [f.family for f in failing] == ["g-vector vs subset enumeration"]
+        assert failing[0].instances == 29
+        assert failing[0].failures == (Failure("4,2", "brute_g=(6, 1)", "multiset=(6, 2)"),)
+
+    def test_each_partition_is_enumerated_and_derived_once(self, monkeypatch):
+        n_max = 8
+        spied = ("enumerate_partitions", "invariants", "root_union", "gcd_matrix")
+        calls = {name: Counter() for name in spied}
+
+        def spy(name):
+            real = getattr(partinv.oracles, name)
+
+            def counted(*args, **kwargs):
+                calls[name][args] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(partinv.oracles, name, spy(name))
+        assert verify_all(n_max).passed
+
+        tables = Counter((s, n) for n in range(1, n_max + 1) for s in range(1, n + 1))
+        # The multiset-sufficiency family walks the tables with s >= 2 on its own.
+        pair_tables = Counter((s, n) for s, n in tables if s >= 2)
+        assert calls["enumerate_partitions"] == tables + pair_tables
+        once = Counter((lam,) for lam in all_partitions(n_max))
+        assert calls["root_union"] == once
+        # The gcd matrix is built once for the gcd total and once more, for
+        # s >= 2, by the multiset-sufficiency key.
+        assert calls["gcd_matrix"] == once + Counter((lam,) for (lam,) in once if lam.s >= 2)
+        # Scaling invariance derives the invariants of each scaled partition.
+        scaled = Counter((scale(d, lam),) for (lam,) in once for d in range(2, 5))
+        assert calls["invariants"] == once + scaled
 
     def test_reported_h_vector_is_checked(self, monkeypatch):
         real = partinv.oracles.invariants

@@ -7,18 +7,22 @@ g-vector is a bijective transform of the h-vector, so grouping is an
 order-independent reduction keyed by the h-vector of each partition's
 gcd-closure; each class's h is mapped to its g-key once, and a final
 deterministic sort by g-key makes any evaluation order produce identical
-output.
+output.  Every table command builds only what it reports: ``classify`` a
+:class:`Partition` per member and a g-key per class, ``self_equivalent`` a
+:class:`Partition` per singleton, and ``count_classes`` neither.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _g_from_h
-from .partitions import Partition, count_partitions, enumerate_partitions
+from .partitions import Partition, _descending, count_partitions
 
 MAX_CLASSIFY_SIZE = 200_000
 # Tables are also refused where s*n is above this, which bounds the counting
@@ -63,10 +67,7 @@ class EquivalenceClasses:
     @property
     def e(self) -> dict[int, int]:
         """Histogram: class size -> number of classes of that size."""
-        histogram: dict[int, int] = {}
-        for c in self.classes:
-            histogram[c.size] = histogram.get(c.size, 0) + 1
-        return dict(sorted(histogram.items()))
+        return _histogram(c.size for c in self.classes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,6 +103,11 @@ class EquivalenceClasses:
         return out.getvalue()
 
 
+def _histogram(sizes: Iterable[int]) -> dict[int, int]:
+    """Class size -> number of classes of that size, by size."""
+    return dict(sorted(Counter(sizes).items()))
+
+
 def _size_lower_bound(s: int, excess: int) -> int:
     # |P(s, s+r)| is the number of partitions of r into at most s parts, so
     # at least the number into at most min(s, 3) parts: 1, floor(r/2)+1 or
@@ -113,13 +119,11 @@ def _size_lower_bound(s: int, excess: int) -> int:
     return ((excess + 3) ** 2 + 6) // 12
 
 
-def classify(s: int, n: int) -> EquivalenceClasses:
-    """Group P(s, n) by h-vector, keyed and sorted by the g-vector.
+def _groups(s: int, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """P(s, n) grouped by h-vector: h -> the part tuples, in enumeration order.
 
-    Tables of more than ``MAX_CLASSIFY_SIZE`` partitions, or with s*n or
-    s*|P(s, n)| above ``MAX_TABLE_CELLS``, are refused with
-    :class:`BoundExceededError`; the first two checks run before any
-    counting.  P(s, n) is counted once, and the enumeration must match it.
+    Every table command goes through here, so all of them are refused as
+    :func:`classify` documents.
     """
     if s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
@@ -138,23 +142,47 @@ def classify(s: int, n: int) -> EquivalenceClasses:
         raise BoundExceededError(
             f"P({s},{n}) holds {s * expected} parts, above the limit {MAX_TABLE_CELLS}"
         )
-    groups: dict[tuple[int, ...], list[Partition]] = {}
-    for lam in enumerate_partitions(s, n):
-        groups.setdefault(_closure_h(lam.parts), []).append(lam)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for parts in _descending(n, s):
+        groups.setdefault(_closure_h(parts), []).append(parts)
+    classified = sum(map(len, groups.values()))
+    if classified != expected:
+        raise ConsistencyError(
+            f"classified {classified} partitions of P({s},{n}), expected {expected}"
+        )
+    return groups
+
+
+def classify(s: int, n: int) -> EquivalenceClasses:
+    """Group P(s, n) by h-vector, keyed and sorted by the g-vector.
+
+    Tables of more than ``MAX_CLASSIFY_SIZE`` partitions, or with s*n or
+    s*|P(s, n)| above ``MAX_TABLE_CELLS``, are refused with
+    :class:`BoundExceededError`; the first two checks run before any
+    counting.  P(s, n) is counted once, and the enumeration must match it.
+    """
     classes = sorted(
-        (EquivalenceClass(key=_g_from_h(h), members=tuple(members))
-         for h, members in groups.items()),
+        (EquivalenceClass(key=_g_from_h(h), members=tuple(map(Partition, members)))
+         for h, members in _groups(s, n).items()),
         key=lambda c: c.key,
     )
-    result = EquivalenceClasses(s=s, n=n, classes=tuple(classes))
-    if result.p != expected:
-        raise ConsistencyError(
-            f"classified {result.p} partitions of P({s},{n}), expected {expected}"
-        )
-    return result
+    return EquivalenceClasses(s=s, n=n, classes=tuple(classes))
+
+
+def count_classes(s: int, n: int) -> tuple[int, int, dict[int, int]]:
+    """The p, i and e numbers of P(s, n), as :class:`EquivalenceClasses`
+    reports them, read from the class sizes alone: no member or key is built.
+
+    Refused as :func:`classify` is.
+    """
+    sizes = [len(members) for members in _groups(s, n).values()]
+    return sum(sizes), len(sizes), _histogram(sizes)
 
 
 def self_equivalent(s: int, n: int) -> list[Partition]:
-    """Partitions alone in their class, in enumeration order."""
-    singletons = [c.members[0] for c in classify(s, n).classes if c.size == 1]
-    return sorted(singletons, key=lambda lam: lam.parts, reverse=True)
+    """Partitions alone in their class, in enumeration order.
+
+    Refused as :func:`classify` is.
+    """
+    # A class's first member comes in enumeration order, so the singletons do.
+    return [Partition(members[0]) for members in _groups(s, n).values() if len(members) == 1]

@@ -22,7 +22,7 @@ from .algebra import (
     wedderburn,
 )
 from .classify import classify as classify_partitions
-from .classify import self_equivalent
+from .classify import count_classes, self_equivalent
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
@@ -203,13 +203,9 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_lines(s: int, n: int, grouped) -> list[str]:
-    histogram = " ".join(f"{size}:{count}" for size, count in grouped.e.items())
-    return [
-        f"p({s},{n}) = {grouped.p}",
-        f"i({s},{n}) = {grouped.i}",
-        f"e({s},{n}): {histogram}",
-    ]
+def _summary_lines(s: int, n: int, p: int, i: int, e: dict[int, int]) -> list[str]:
+    histogram = " ".join(f"{size}:{count}" for size, count in e.items())
+    return [f"p({s},{n}) = {p}", f"i({s},{n}) = {i}", f"e({s},{n}): {histogram}"]
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -217,7 +213,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(grouped.to_csv())
         return 0
-    lines = _summary_lines(args.s, args.n, grouped)
+    lines = _summary_lines(args.s, args.n, grouped.p, grouped.i, grouped.e)
     for idx, cls in enumerate(grouped.classes):
         key = ",".join(str(v) for v in cls.key)
         members = " | ".join(str(m) for m in cls.members)
@@ -240,14 +236,14 @@ def _cmd_self_equivalent(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    grouped = classify_partitions(args.s, args.n)
-    lines = _summary_lines(args.s, args.n, grouped)
+    p, i, e = count_classes(args.s, args.n)
+    lines = _summary_lines(args.s, args.n, p, i, e)
     payload = {
         "s": args.s,
         "n": args.n,
-        "p": grouped.p,
-        "i": grouped.i,
-        "e": {str(size): count for size, count in grouped.e.items()},
+        "p": p,
+        "i": i,
+        "e": {str(size): count for size, count in e.items()},
     }
     _emit(args, "\n".join(lines), payload)
     return 0

@@ -93,23 +93,38 @@ _CLOSURE_BUDGET = 4096
 
 
 def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """h_1..h_s from the gcd-closure of the parts (see the module docstring)."""
-    multiplicity: dict[int, int] = {}
-    for part in parts:
-        multiplicity[part] = multiplicity.get(part, 0) + 1
+    """h_1..h_s from the gcd-closure of the weakly decreasing parts (see the
+    module docstring)."""
+    s = len(parts)
+    runs: list[tuple[int, int]] = []  # (part, multiplicity), parts decreasing
+    start = 0
+    while start < s:
+        part, end = parts[start], start + 1
+        while end < s and parts[end] == part:
+            end += 1
+        runs.append((part, end - start))
+        start = end
     closure: set[int] = set()
-    for part in multiplicity:
+    for part, _ in runs:
         closure |= {math.gcd(part, v) for v in closure}
         closure.add(part)
         if len(closure) > _CLOSURE_BUDGET:
             raise BoundExceededError(f"the gcd-closure has more than {_CLOSURE_BUDGET} elements")
-    h = [0] * (len(parts) + 1)
+    h = [0] * (s + 1)
     below: list[tuple[int, int]] = []
-    counted = multiplicity.items()
     for v in sorted(closure):
-        share = v - sum([f for w, f in below if not v % w])
+        share = v
+        for w, f in below:
+            if not v % w:
+                share -= f
         below.append((v, share))
-        h[sum([m for part, m in counted if not part % v])] += share
+        divisible = 0
+        for part, m in runs:
+            if part < v:
+                break  # the runs decrease, and no part below v is divisible by v
+            if not part % v:
+                divisible += m
+        h[divisible] += share
     return tuple(h[1:])
 
 
@@ -137,15 +152,17 @@ def g_vector(lam: Partition) -> GVector:
 
 def h_vector(g: GVector) -> HVector:
     """Inclusion-exclusion transform h_i = sum_k (-1)^k C(i+k, i) g_{i+k}."""
-    s = g.s
-    values = []
+    values = g.values
+    s = len(values)
+    h = []
     for i in range(1, s + 1):
-        acc = 0
-        for k in range(s - i + 1):
-            term = math.comb(i + k, i) * g[i + k]
+        acc, binomial = 0, 1  # C(i + k, i), walked up from k = 0
+        for k, g_ik in enumerate(values[i - 1 :]):
+            term = binomial * g_ik
             acc += -term if k % 2 else term
-        values.append(acc)
-    return HVector(tuple(values))
+            binomial = binomial * (i + k + 1) // (k + 1)
+        h.append(acc)
+    return HVector(tuple(h))
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -165,29 +182,31 @@ def power_norm(lam: Partition) -> tuple[int, ...]:
     An entry of D^i is a sum of monomials indexed by strict index chains
     j_0 < j_1 < ... < j_i; evaluating a monomial collapses repeated factors
     (the product is idempotent), leaving the gcd of the entries on the chain.
-    One pass over the entries counts, for each end index and chain length,
-    the chains by that gcd; the i-th norm sums gcd times count over chains
-    of length i.  Deliberately not computed as g_{i+1}: that equality is a
+    One pass over the end indices k keeps, for each chain length, the
+    chains that end below k counted by that gcd, and extends them by the
+    k-th part; the i-th norm then sums gcd times count over the chains of
+    length i.  Deliberately not computed as g_{i+1}: that equality is a
     theorem, exercised by the test suite.
     """
     entries = gcd_matrix(lam)
-    norms = [0] * (len(entries) - 1)
-    # ending[k][t]: chains of t + 1 steps ending at index k, counted by gcd.
-    ending: list[list[dict[int, int]]] = []
-    for k in range(len(entries)):
-        here: list[dict[int, int]] = [{} for _ in range(k)]
+    # below[t]: chains of t + 1 steps ending at an index below k, counted by
+    # gcd.  That gcd divides the part the chain ends at, so a step on to k
+    # joins it with the k-th part (the diagonal entry) whichever index the
+    # chain ended at.  Longer chains are extended first, so each step reads
+    # chains that end below k only.
+    below: list[dict[int, int]] = [{} for _ in range(len(entries) - 1)]
+    for k in range(1, len(entries)):
+        part = entries[k][k]
+        for t in range(k - 1, 0, -1):
+            longer = below[t]
+            for value, count in below[t - 1].items():
+                joined = math.gcd(value, part)
+                longer[joined] = longer.get(joined, 0) + count
+        first = below[0]
         for j in range(k):
             entry = entries[j][k]
-            here[0][entry] = here[0].get(entry, 0) + 1
-            for t, chains in enumerate(ending[j], start=1):
-                longer = here[t]
-                for value, count in chains.items():
-                    joined = math.gcd(value, entry)
-                    longer[joined] = longer.get(joined, 0) + count
-        for t, chains in enumerate(here):
-            norms[t] += sum([value * count for value, count in chains.items()])
-        ending.append(here)
-    return tuple(norms)
+            first[entry] = first.get(entry, 0) + 1
+    return tuple(sum([value * count for value, count in chains.items()]) for chains in below)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

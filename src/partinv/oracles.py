@@ -31,7 +31,7 @@ from .gcd_symm import (
     is_prime,
     power_norm,
 )
-from .partition_poly import Invariants, distinct_eigenvalue_count, equivalent, invariants
+from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
 from .partitions import Partition, concat, enumerate_partitions, scale
 
 
@@ -232,17 +232,24 @@ class VerificationReport:
         }
 
 
-class _Sample(NamedTuple):
-    """One partition of a table, with the values that several families read."""
+class _Sample:
+    """One partition of a table, with the values that several families read.
 
-    lam: Partition
-    record: Invariants
-    roots: set[ReducedFraction]
-    gcd_total: int
+    The root union and the gcd-matrix total are built on first read, so a
+    sweep whose families never read them never builds them.
+    """
 
+    def __init__(self, lam: Partition) -> None:
+        self.lam = lam
+        self.record = invariants(lam)
 
-def _sample(lam: Partition) -> _Sample:
-    return _Sample(lam, invariants(lam), root_union(lam), sum(map(sum, gcd_matrix(lam))))
+    @functools.cached_property
+    def roots(self) -> set[ReducedFraction]:
+        return root_union(self.lam)
+
+    @functools.cached_property
+    def gcd_total(self) -> int:
+        return sum(map(sum, gcd_matrix(self.lam)))
 
 
 Outcome = Failure | None
@@ -278,7 +285,7 @@ _BRUTE_G_MAX_N = 12
 def check_g_vector_vs_brute(samples: list[_Sample]) -> Outcomes:
     """g-vector (from the gcd-closure) against sub-multiset enumeration, and
     for n <= 12 that enumeration against the literal index-subset sums."""
-    for lam, *_ in samples:
+    for lam in (sample.lam for sample in samples):
         multiset = _multiset_g(lam)
         outcome = _compare(lam, multiset, g_vector(lam).values)
         if outcome is None and lam.n <= _BRUTE_G_MAX_N:
@@ -291,8 +298,8 @@ def check_g_vector_vs_brute(samples: list[_Sample]) -> Outcomes:
 @_family("power norm vs g-vector")
 def check_power_norm_vs_g(samples: list[_Sample]) -> Outcomes:
     """Divisor-matrix power norms against the shifted g-vector."""
-    for lam, record, *_ in samples:
-        g = record.g
+    for sample in samples:
+        lam, g = sample.lam, sample.record.g
         for i, norm in enumerate(power_norm(lam), start=1):
             yield None if norm == g[i + 1] else Failure(f"{lam} i={i}", str(g[i + 1]), str(norm))
 
@@ -301,8 +308,9 @@ def check_power_norm_vs_g(samples: list[_Sample]) -> Outcomes:
 def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
     """Direct root-of-unity counting against the reported (gcd-closure)
     h-vector and the inclusion-exclusion transform of the g-vector."""
-    for lam, record, roots, _ in samples:
-        expected = eigenvalue_multiplicities(lam, roots).values
+    for sample in samples:
+        lam, record = sample.lam, sample.record
+        expected = eigenvalue_multiplicities(lam, sample.roots).values
         reported, transformed = record.h.values, h_vector(record.g).values
         yield None if expected == reported == transformed else Failure(
             str(lam), str(expected), f"h={reported} from_g={transformed}"
@@ -312,8 +320,9 @@ def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
 @_family("inclusion-exclusion union size")
 def check_inclusion_exclusion(samples: list[_Sample]) -> Outcomes:
     """|union of root groups| vs alternating g-sum vs the eigenvalue count."""
-    for lam, record, roots, _ in samples:
-        expected = len(roots)
+    for sample in samples:
+        lam, record = sample.lam, sample.record
+        expected = len(sample.roots)
         alternating = sum(v if i % 2 else -v for i, v in enumerate(record.g, start=1))
         counted = distinct_eigenvalue_count(record)
         yield None if expected == alternating == counted else Failure(
@@ -324,9 +333,10 @@ def check_inclusion_exclusion(samples: list[_Sample]) -> Outcomes:
 @_family("orbit count vs gcd sum")
 def check_orbit_count_vs_gcd_sum(samples: list[_Sample]) -> Outcomes:
     """Pair-orbit walking against the gcd-matrix total and the dimension."""
-    for lam, record, _, total in samples:
+    for sample in samples:
+        lam, total = sample.lam, sample.gcd_total
         walked = pair_orbits(canonical_permutation(lam)).count
-        dim = dimension(record)
+        dim = dimension(sample.record)
         yield None if walked == total == dim else Failure(
             str(lam), str(total), f"walk={walked} dim={dim}"
         )
@@ -335,17 +345,18 @@ def check_orbit_count_vs_gcd_sum(samples: list[_Sample]) -> Outcomes:
 @_family("commutant nullity vs gcd sum")
 def check_commutant_dimension(samples: list[_Sample]) -> Outcomes:
     """Exact nullity of the commutation system against the gcd-matrix total."""
-    for lam, _, _, total in samples:
+    for sample in samples:
+        lam = sample.lam
         actual = commutant_dimension(canonical_permutation(lam), max_degree=lam.n)
-        yield _compare(lam, total, actual)
+        yield _compare(lam, sample.gcd_total, actual)
 
 
 @_family("block multiplicity sum rules")
 def check_block_sum_rules(samples: list[_Sample]) -> Outcomes:
     """sum(i*h_i) = n, sum(i^2*h_i) = the gcd-matrix total, h_s = g_s, and
     sum(h_i) equals the alternating g-sum."""
-    for lam, record, _, dim in samples:
-        g, h = record.g, record.h
+    for sample in samples:
+        lam, g, h, dim = sample.lam, sample.record.g, sample.record.h, sample.gcd_total
         weighted = sum(i * v for i, v in enumerate(h.values, start=1))
         squares = sum(i * i * v for i, v in enumerate(h.values, start=1))
         alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
@@ -360,7 +371,7 @@ def check_block_sum_rules(samples: list[_Sample]) -> Outcomes:
 @_family("gcd determinant bounds")
 def check_determinant_bounds(samples: list[_Sample]) -> Outcomes:
     """For pairwise distinct parts: totient product <= det <= part product - s!/2."""
-    for lam, *_ in samples:
+    for lam in (sample.lam for sample in samples):
         if len(set(lam.parts)) != lam.s:
             continue
         result = gcd_matrix_det_and_bounds(lam)
@@ -376,7 +387,8 @@ _SCALE_FACTORS = range(2, 5)
 @_family("scaling invariance")
 def check_scaling_invariance(samples: list[_Sample]) -> Outcomes:
     """g(d*lam) = d*g(lam) elementwise and identical polynomials, d = 2..4."""
-    for lam, base, *_ in samples:
+    for sample in samples:
+        lam, base = sample.lam, sample.record
         for d in _SCALE_FACTORS:
             scaled = invariants(scale(d, lam))
             want_g = tuple(d * v for v in base.g.values)
@@ -508,16 +520,17 @@ def _sweep(
     """Run each ``(family, bound)`` of ``plan`` on every partition with n <= bound.
 
     Each table P(s, n) up to the largest bound is enumerated once, and each
-    of its partitions is sampled once: its invariants, root union and
-    gcd-matrix total.  Every family whose bound reaches n then checks the
-    table's samples, and its results are added up over the tables.  Only
-    one table's samples are held at a time.  Results are in plan order.
+    of its partitions is sampled once: its invariants, and its root union
+    and gcd-matrix total when a family first reads them.  Every family
+    whose bound reaches n then checks the table's samples, and its results
+    are added up over the tables.  Only one table's samples are held at a
+    time.  Results are in plan order.
     """
     totals = [family([]) for family, _ in plan]
     n_max = max((bound for _, bound in plan), default=0)
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
-            samples = [_sample(lam) for lam in enumerate_partitions(s, n)]
+            samples = [_Sample(lam) for lam in enumerate_partitions(s, n)]
             for k, (family, bound) in enumerate(plan):
                 if n <= bound:
                     table, total = family(samples), totals[k]

@@ -58,11 +58,11 @@ class PartitionPolynomial:
 
 
 def _polynomial(g: GVector) -> PartitionPolynomial:
-    s = g.s
-    g_last = g[s]
+    values = g.values
+    s, g_last = len(values), values[-1]
     coefficients = []
-    for i in range(s):
-        quotient = g[i + 1] // g_last  # exact: GVector checks that g_s divides every g_i
+    for i, g_i in enumerate(values):
+        quotient = g_i // g_last  # exact: GVector checks that g_s divides every g_i
         coefficients.append(-quotient if (s - 1 - i) % 2 else quotient)
     return PartitionPolynomial(tuple(coefficients))
 

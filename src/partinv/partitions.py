@@ -49,7 +49,7 @@ class Partition:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
 
 def parse_partition(text: str) -> Partition:

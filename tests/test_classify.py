@@ -7,6 +7,7 @@ from partinv import (
     InputError,
     Partition,
     classify,
+    count_classes,
     count_partitions,
     enumerate_partitions,
     equivalent,
@@ -54,6 +55,16 @@ class TestClassify:
             classify(2, 400002)
         with pytest.raises(BoundExceededError):
             self_equivalent(2, 400002)
+        with pytest.raises(BoundExceededError):
+            count_classes(2, 400002)
+
+    def test_count_and_singletons_agree_with_classify(self):
+        for n in range(1, 19):
+            for s in range(1, n + 1):
+                grouped = classify(s, n)
+                assert count_classes(s, n) == (grouped.p, grouped.i, grouped.e)
+                singletons = [c.members[0] for c in grouped.classes if c.size == 1]
+                assert self_equivalent(s, n) == sorted(singletons, reverse=True)
 
     def test_classes_partition_the_set(self):
         for n in range(1, 15):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -348,8 +349,6 @@ class TestClassify:
         assert code == 2
 
     def test_miscount_is_a_consistency_error(self, capsys, monkeypatch):
-        import importlib
-
         # The package re-exports the function under the module's name.
         classify_module = importlib.import_module("partinv.classify")
         real = classify_module.count_partitions
@@ -358,6 +357,16 @@ class TestClassify:
         assert code == 3
         assert out == ""
         assert "expected 5" in err
+
+    def test_count_builds_no_partition_and_no_key(self, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("count built a value it does not print")
+
+        monkeypatch.setattr(Partition, "__post_init__", unbuilt)
+        monkeypatch.setattr(importlib.import_module("partinv.classify"), "_g_from_h", unbuilt)
+        code, out, _ = run(capsys, "count", "7", "30")
+        assert code == 0
+        assert out.startswith(f"p(7,30) = {count_partitions(7, 30)}\n")
 
     def test_resource_bound(self, capsys):
         code, _, err = run(capsys, "classify", "40", "400")

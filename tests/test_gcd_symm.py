@@ -151,6 +151,15 @@ class TestClosureBudget:
         assert invariants(lam).h.values == want
         assert h_vector(g_vector(lam)).values == want
 
+    def test_refuses_the_first_element_past_the_budget(self):
+        # 43 and 47 are prime to every quotient and add one element each: the
+        # closure has 4096 elements with 47 and 4097 once 43 is merged.
+        quotients = prime_quotients(12).parts
+        assert len(invariants(Partition((*quotients, 47))).h) == 13
+        with pytest.raises(BoundExceededError) as refused:
+            invariants(Partition((*quotients, 47, 43)))
+        assert str(refused.value) == "the gcd-closure has more than 4096 elements"
+
     @pytest.mark.parametrize("derive", [invariants, g_vector])
     def test_refuses_just_above_the_budget(self, derive):
         lam = prime_quotients(13)

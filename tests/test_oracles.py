@@ -27,7 +27,15 @@ from partinv import (
     verify_all,
 )
 import partinv.oracles
-from partinv.oracles import Failure, ReducedFraction, _exact_rank, _multiset_g
+from partinv.gcd_symm import _closure_h
+from partinv.oracles import (
+    Failure,
+    ReducedFraction,
+    _exact_rank,
+    _multiset_g,
+    _sweep,
+    check_scaling_invariance,
+)
 from util import all_partitions, permutation
 
 
@@ -80,6 +88,10 @@ class TestEigenvalueMultiplicities:
     def test_union_size_matches_eigenvalue_count(self):
         for lam in all_partitions(14):
             assert len(root_union(lam)) == distinct_eigenvalue_count(lam)
+
+    def test_matches_the_closure_kernel(self):
+        for lam in all_partitions(16):
+            assert _closure_h(lam.parts) == eigenvalue_multiplicities(lam, root_union(lam)).values
 
 
 class TestBruteG:
@@ -285,6 +297,15 @@ class TestVerifyAll:
         # Scaling invariance derives the invariants of each scaled partition.
         scaled = Counter((scale(d, lam),) for (lam,) in once for d in range(2, 5))
         assert calls["invariants"] == once + scaled
+
+    def test_a_sweep_builds_only_what_its_families_read(self, monkeypatch):
+        def unread(lam):
+            raise AssertionError(f"built for {lam}, which no family reads")
+
+        monkeypatch.setattr(partinv.oracles, "root_union", unread)
+        monkeypatch.setattr(partinv.oracles, "gcd_matrix", unread)
+        (scaling,) = _sweep([(check_scaling_invariance, 8)])
+        assert scaling.passed and scaling.instances > 0
 
     def test_reported_h_vector_is_checked(self, monkeypatch):
         real = partinv.oracles.invariants

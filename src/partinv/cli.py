@@ -29,9 +29,6 @@ from .oracles import verify_all
 from .partition_poly import Invariants, PartitionPolynomial, equivalent, invariants
 from .partitions import parse_partition
 
-MAX_VERIFY_N = 25
-MAX_MATRIX_CAP = 16
-
 
 def _field(args: argparse.Namespace) -> FieldSpec:
     return FieldSpec(
@@ -250,14 +247,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise InputError(f"--nmax must be nonnegative, got {args.nmax}")
-    if args.nmax > MAX_VERIFY_N:
-        raise BoundExceededError(f"--nmax above {MAX_VERIFY_N} is refused")
-    if args.matrix_cap < 0:
-        raise InputError(f"--matrix-cap must be nonnegative, got {args.matrix_cap}")
-    if args.matrix_cap > MAX_MATRIX_CAP:
-        raise BoundExceededError(f"--matrix-cap must be within 0..{MAX_MATRIX_CAP}")
     report = verify_all(args.nmax, matrix_cap=args.matrix_cap)
     _emit(args, report.to_text(), report.to_json_dict())
     return 0 if report.passed else 1

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .algebra import Permutation, canonical_permutation, dimension, pair_orbits, perm_matrix
-from .classify import classify
 from .errors import BoundExceededError, InputError
 from .gcd_symm import (
     HVector,
+    Rows,
     _prime_factors,
     g_vector,
     gcd_matrix,
@@ -33,6 +33,11 @@ from .gcd_symm import (
 )
 from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
 from .partitions import Partition, concat, enumerate_partitions, scale
+
+
+# verify_all's largest n and matrix cap; commutant_dimension's largest degree.
+MAX_VERIFY_N = 25
+MAX_MATRIX_CAP = 16
 
 
 class ReducedFraction(NamedTuple):
@@ -158,17 +163,17 @@ def _exact_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def commutant_dimension(sigma: Permutation, *, max_degree: int = 12) -> int:
+def commutant_dimension(sigma: Permutation) -> int:
     """Nullity of the linear system 'X commutes with the permutation matrix'.
 
     Builds the n^2-by-n^2 integer system literally, one sparse row per
     matrix position, and eliminates it exactly; the result is the rank of
     the fixed algebra, found without any orbit or gcd reasoning.  Degrees
-    above ``max_degree`` are refused to keep the elimination size bounded.
+    above ``MAX_MATRIX_CAP`` are refused to keep the elimination size bounded.
     """
-    if sigma.n > max_degree:
+    if sigma.n > MAX_MATRIX_CAP:
         raise BoundExceededError(
-            f"degree {sigma.n} exceeds the matrix bound {max_degree}"
+            f"degree {sigma.n} exceeds the matrix bound {MAX_MATRIX_CAP}"
         )
     return sigma.n**2 - _exact_rank(_commutation_system(sigma))
 
@@ -235,7 +240,7 @@ class VerificationReport:
 class _Sample:
     """One partition of a table, with the values that several families read.
 
-    The root union and the gcd-matrix total are built on first read, so a
+    The root union and the gcd-matrix rows are built on first read, so a
     sweep whose families never read them never builds them.
     """
 
@@ -248,8 +253,12 @@ class _Sample:
         return root_union(self.lam)
 
     @functools.cached_property
+    def gcd_rows(self) -> Rows:
+        return gcd_matrix(self.lam)
+
+    @functools.cached_property
     def gcd_total(self) -> int:
-        return sum(map(sum, gcd_matrix(self.lam)))
+        return sum(map(sum, self.gcd_rows))
 
 
 Outcome = Failure | None
@@ -347,7 +356,7 @@ def check_commutant_dimension(samples: list[_Sample]) -> Outcomes:
     """Exact nullity of the commutation system against the gcd-matrix total."""
     for sample in samples:
         lam = sample.lam
-        actual = commutant_dimension(canonical_permutation(lam), max_degree=lam.n)
+        actual = commutant_dimension(canonical_permutation(lam))
         yield _compare(lam, sample.gcd_total, actual)
 
 
@@ -397,10 +406,16 @@ def check_scaling_invariance(samples: list[_Sample]) -> Outcomes:
             yield None if passed else Failure(f"{lam} d={d}", str(want_g), str(got_g))
 
 
-def _equivalent_pairs(s: int, n: int) -> Iterator[tuple[Partition, Partition]]:
-    for cls in classify(s, n).classes:
-        for pair in itertools.combinations(cls.members, 2):
-            yield pair
+def _classes(
+    samples: list[_Sample], key: Callable[[_Sample], tuple] = lambda sample: sample.record.g.values
+) -> list[list[_Sample]]:
+    """One table's samples grouped by ``key``, groups in ascending key order
+    and members in enumeration order: by default, by the g-vector, which
+    gives the classes of :func:`partinv.classify.classify`, in its order."""
+    groups: dict[tuple, list[_Sample]] = {}
+    for sample in samples:
+        groups.setdefault(key(sample), []).append(sample)
+    return [groups[k] for k in sorted(groups)]
 
 
 def _appended(lam: Partition, m: int) -> Partition:
@@ -408,30 +423,30 @@ def _appended(lam: Partition, m: int) -> Partition:
 
 
 @_family("append-part equivalence")
-def check_append_part(n_max: int) -> Outcomes:
+def check_append_part(samples: list[_Sample]) -> Outcomes:
     """Appending a part preserves (non-)equivalence when its gcd pattern matches.
 
     For every equivalent pair, the appended pair must stay equivalent for
     m = 1 and for an m coprime to every part (both make the gcd multisets
     all ones); inequivalent pairs must stay inequivalent.
     """
-    for n in range(2, n_max + 1):
-        for s in range(1, n + 1):
-            grouped = classify(s, n)
-            coprime_m = _prime_above(n)
-            for cls in grouped.classes:
-                for lam, mu in itertools.combinations(cls.members, 2):
-                    for m in (1, coprime_m):
-                        kept = equivalent(_appended(lam, m), _appended(mu, m))
-                        yield None if kept else Failure(
-                            f"{lam} ~ {mu} m={m}", "equivalent", "inequivalent"
-                        )
-            representatives = [cls.members[0] for cls in grouped.classes]
-            for lam, mu in itertools.combinations(representatives, 2):
-                merged = equivalent(_appended(lam, coprime_m), _appended(mu, coprime_m))
-                yield Failure(
-                    f"{lam} !~ {mu} m={coprime_m}", "inequivalent", "equivalent"
-                ) if merged else None
+    classes = _classes(samples)
+    if not classes:
+        return
+    coprime_m = _prime_above(classes[0][0].lam.n)
+    for cls in classes:
+        for lam, mu in itertools.combinations([x.lam for x in cls], 2):
+            for m in (1, coprime_m):
+                kept = equivalent(_appended(lam, m), _appended(mu, m))
+                yield None if kept else Failure(
+                    f"{lam} ~ {mu} m={m}", "equivalent", "inequivalent"
+                )
+    representatives = [cls[0].lam for cls in classes]
+    for lam, mu in itertools.combinations(representatives, 2):
+        merged = equivalent(_appended(lam, coprime_m), _appended(mu, coprime_m))
+        yield Failure(
+            f"{lam} !~ {mu} m={coprime_m}", "inequivalent", "equivalent"
+        ) if merged else None
 
 
 def _prime_above(n: int) -> int:
@@ -462,56 +477,41 @@ def _coprime_partner_pair(lam: Partition, mu: Partition) -> tuple[Partition, Par
     return None
 
 
-_CONCAT_SAMPLE_CAP = 300
-
-
 @_family("concatenation of equivalent pairs")
-def check_concat_classes(n_max: int) -> Outcomes:
+def check_concat_classes(samples: list[_Sample]) -> Outcomes:
     """Concatenating equivalent pairs with constant cross-gcd stays equivalent.
 
     For each equivalent pair, a partner equivalent pair with fully coprime
     cross parts is constructed (constant cross-gcd 1) and the concatenations
     are compared; the variant scaled by 3 exercises constant cross-gcd 3.
-    The sweep stops after the first ``_CONCAT_SAMPLE_CAP`` pairs with a partner.
     """
-    sampled = 0
-    for n1 in range(2, n_max + 1):
-        for s1 in range(2, n1 + 1):
-            for lam, mu in _equivalent_pairs(s1, n1):
-                if sampled >= _CONCAT_SAMPLE_CAP:
-                    return
-                partner = _coprime_partner_pair(lam, mu)
-                if partner is None:
-                    continue
-                gamma, delta = partner
-                sampled += 1
-                for d in (1, 3):
-                    left = concat(scale(d, lam), scale(d, gamma))
-                    right = concat(scale(d, mu), scale(d, delta))
-                    yield None if equivalent(left, right) else Failure(
-                        f"({lam};{gamma}) vs ({mu};{delta}) d={d}", "equivalent", "inequivalent"
-                    )
+    for cls in _classes(samples):
+        for lam, mu in itertools.combinations([x.lam for x in cls], 2):
+            partner = _coprime_partner_pair(lam, mu)
+            if partner is None:
+                continue
+            gamma, delta = partner
+            for d in (1, 3):
+                left = concat(scale(d, lam), scale(d, gamma))
+                right = concat(scale(d, mu), scale(d, delta))
+                yield None if equivalent(left, right) else Failure(
+                    f"({lam};{gamma}) vs ({mu};{delta}) d={d}", "equivalent", "inequivalent"
+                )
 
 
-def _upper_gcds(lam: Partition) -> tuple[int, ...]:
+def _upper_gcds(sample: _Sample) -> tuple[int, ...]:
     """The entries above the gcd matrix's diagonal, sorted: a multiset key."""
-    rows = gcd_matrix(lam)
-    return tuple(sorted(v for i, row in enumerate(rows) for v in row[i + 1 :]))
+    return tuple(sorted(v for i, row in enumerate(sample.gcd_rows) for v in row[i + 1 :]))
 
 
 @_family("gcd multiset sufficiency")
-def check_multiset_sufficiency(n_max: int) -> Outcomes:
+def check_multiset_sufficiency(samples: list[_Sample]) -> Outcomes:
     """Equal off-diagonal gcd multisets force equivalence."""
-    for n in range(2, n_max + 1):
-        for s in range(2, n + 1):
-            keyed = [(_upper_gcds(lam), lam) for lam in enumerate_partitions(s, n)]
-            keyed.sort(key=lambda kv: kv[0])
-            for _, group in itertools.groupby(keyed, key=lambda kv: kv[0]):
-                members = [lam for _, lam in group]
-                for lam, mu in itertools.combinations(members, 2):
-                    yield None if equivalent(lam, mu) else Failure(
-                        f"{lam} vs {mu}", "equivalent", "inequivalent"
-                    )
+    for group in _classes(samples, _upper_gcds):
+        for a, b in itertools.combinations(group, 2):
+            yield None if equivalent(a.record, b.record) else Failure(
+                f"{a.lam} vs {b.lam}", "equivalent", "inequivalent"
+            )
 
 
 def _sweep(
@@ -521,10 +521,11 @@ def _sweep(
 
     Each table P(s, n) up to the largest bound is enumerated once, and each
     of its partitions is sampled once: its invariants, and its root union
-    and gcd-matrix total when a family first reads them.  Every family
-    whose bound reaches n then checks the table's samples, and its results
-    are added up over the tables.  Only one table's samples are held at a
-    time.  Results are in plan order.
+    and gcd-matrix rows when a family first reads them.  Every family whose
+    bound reaches n then checks the table's samples (the pair families take
+    their pairs from the samples too), and its results are added up over
+    the tables.  Only one table's samples are held at a time.  Results are
+    in plan order.
     """
     totals = [family([]) for family, _ in plan]
     n_max = max((bound for _, bound in plan), default=0)
@@ -543,36 +544,42 @@ def _sweep(
 
 
 def verify_all(n_max: int, *, matrix_cap: int = 12) -> VerificationReport:
-    """Run every check family up to ``n_max``.
+    """Run every check family up to ``n_max``, in one :func:`_sweep`.
 
-    The nine per-partition families share one sweep: each table P(s, n) is
-    enumerated once and each partition's invariants, root union and
-    gcd-matrix total are built once (the g family also checks its
-    sub-multiset oracle against :func:`brute_g` for n <= 12).  Matrix-backed
-    families (orbit walking, commutation-system nullity) are additionally
-    capped at ``matrix_cap``; the three pair families walk their own tables
-    with smaller internal bounds because their instance counts grow
-    quadratically.  Family order is fixed, so reports are deterministic.
+    ``n_max`` above ``MAX_VERIFY_N`` and ``matrix_cap`` above
+    ``MAX_MATRIX_CAP`` are refused with :class:`BoundExceededError`, and a
+    negative value of either with :class:`InputError`, before any work.
+    Each table P(s, n) is enumerated once and each partition's invariants,
+    root union and gcd-matrix rows are built once, and shared by all twelve
+    families (the g family also checks its sub-multiset oracle against
+    :func:`brute_g` for n <= 12).  Matrix-backed families (orbit walking,
+    commutation-system nullity) are capped at ``matrix_cap``; the three
+    pair families, whose instance counts grow quadratically, at 12, 10 and
+    14.  Family order is fixed, so reports are deterministic.
     """
     if n_max < 0:
-        raise InputError(f"n_max must be nonnegative, got {n_max}")
+        raise InputError(f"--nmax must be nonnegative, got {n_max}")
+    if n_max > MAX_VERIFY_N:
+        raise BoundExceededError(f"--nmax above {MAX_VERIFY_N} is refused")
+    if matrix_cap < 0:
+        raise InputError(f"--matrix-cap must be nonnegative, got {matrix_cap}")
+    if matrix_cap > MAX_MATRIX_CAP:
+        raise BoundExceededError(f"--matrix-cap must be within 0..{MAX_MATRIX_CAP}")
     matrix_bound = min(n_max, matrix_cap)
-    families = (
-        *_sweep(
-            (
-                (check_g_vector_vs_brute, n_max),
-                (check_power_norm_vs_g, n_max),
-                (check_h_vector_vs_roots, n_max),
-                (check_inclusion_exclusion, n_max),
-                (check_orbit_count_vs_gcd_sum, matrix_bound),
-                (check_commutant_dimension, matrix_bound),
-                (check_block_sum_rules, n_max),
-                (check_determinant_bounds, n_max),
-                (check_scaling_invariance, n_max),
-            )
-        ),
-        check_append_part(min(n_max, 12)),
-        check_concat_classes(min(n_max, 10)),
-        check_multiset_sufficiency(min(n_max, 14)),
+    families = _sweep(
+        (
+            (check_g_vector_vs_brute, n_max),
+            (check_power_norm_vs_g, n_max),
+            (check_h_vector_vs_roots, n_max),
+            (check_inclusion_exclusion, n_max),
+            (check_orbit_count_vs_gcd_sum, matrix_bound),
+            (check_commutant_dimension, matrix_bound),
+            (check_block_sum_rules, n_max),
+            (check_determinant_bounds, n_max),
+            (check_scaling_invariance, n_max),
+            (check_append_part, min(n_max, 12)),
+            (check_concat_classes, min(n_max, 10)),
+            (check_multiset_sufficiency, min(n_max, 14)),
+        )
     )
     return VerificationReport(families=families)

@@ -6,6 +6,7 @@ to n.  Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,9 +28,9 @@ class Partition:
         if not self.parts:
             raise InputError("a partition needs at least one part")
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise InputError(f"part must be a positive integer, got {p!r}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(map(operator.lt, self.parts, self.parts[1:])):
             raise InputError(f"parts must be weakly decreasing: {self.parts}")
 
     @classmethod

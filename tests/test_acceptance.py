@@ -133,10 +133,12 @@ def test_criterion_4_oracle_agreement():
 
 @criterion(5, "surgery laws and coprime-parts decisions")
 def test_criterion_5_surgery_laws():
-    (scaling,) = _sweep([(check_scaling_invariance, 20)])
+    scaling, append, concat = _sweep(
+        [(check_scaling_invariance, 20), (check_append_part, 12), (check_concat_classes, 10)]
+    )
     _passed(scaling, 8139)
-    _passed(check_append_part(12), 505)
-    _passed(check_concat_classes(10), 80)
+    _passed(append, 505)
+    _passed(concat, 80)
 
     # equal off-diagonal gcd multisets force equivalence, exhaustively
     for n in range(2, 19):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import random
@@ -158,8 +159,8 @@ class TestCommutant:
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            commutant_dimension(permutation(13))
-        assert commutant_dimension(permutation(13), max_degree=13) == 169
+            commutant_dimension(permutation(17))
+        assert commutant_dimension(permutation(13)) == 169
 
     def test_matches_gcd_total_over_cycle_types(self):
         for lam in all_partitions(8):
@@ -237,6 +238,14 @@ class TestVerifyAll:
     def test_negative_bound_rejected(self):
         with pytest.raises(InputError):
             verify_all(-1)
+        with pytest.raises(InputError):
+            verify_all(5, matrix_cap=-1)
+
+    def test_bounds_hold_for_library_calls(self):
+        with pytest.raises(BoundExceededError):
+            verify_all(26)
+        with pytest.raises(BoundExceededError):
+            verify_all(5, matrix_cap=17)
 
     def test_fault_injection_is_reported(self, monkeypatch):
         real = partinv.oracles._multiset_g
@@ -283,17 +292,21 @@ class TestVerifyAll:
 
         for name in calls:
             monkeypatch.setattr(partinv.oracles, name, spy(name))
+
+        def no_second_walk(s, n):
+            raise AssertionError(f"P({s},{n}) grouped outside the sweep")
+
+        # The pair families take their classes from the sweep's samples.
+        monkeypatch.setattr(importlib.import_module("partinv.classify"), "_groups", no_second_walk)
         assert verify_all(n_max).passed
 
         tables = Counter((s, n) for n in range(1, n_max + 1) for s in range(1, n + 1))
-        # The multiset-sufficiency family walks the tables with s >= 2 on its own.
-        pair_tables = Counter((s, n) for s, n in tables if s >= 2)
-        assert calls["enumerate_partitions"] == tables + pair_tables
+        assert calls["enumerate_partitions"] == tables
         once = Counter((lam,) for lam in all_partitions(n_max))
         assert calls["root_union"] == once
-        # The gcd matrix is built once for the gcd total and once more, for
-        # s >= 2, by the multiset-sufficiency key.
-        assert calls["gcd_matrix"] == once + Counter((lam,) for (lam,) in once if lam.s >= 2)
+        # One gcd matrix per partition serves the gcd total and the
+        # multiset-sufficiency key.
+        assert calls["gcd_matrix"] == once
         # Scaling invariance derives the invariants of each scaled partition.
         scaled = Counter((scale(d, lam),) for (lam,) in once for d in range(2, 5))
         assert calls["invariants"] == once + scaled

@@ -38,6 +38,13 @@ class TestPartitionType:
         with pytest.raises(InputError):
             Partition(())
 
+    def test_rejects_bool_parts(self):
+        # bool is an int subclass: (2, True) would print as "2,True" and
+        # compare equal to (2, 1).
+        for parts in ((2, True), (True,), (False,)):
+            with pytest.raises(InputError, match="positive integer"):
+                Partition(parts)
+
 
 class TestParse:
     def test_sorted_input(self):

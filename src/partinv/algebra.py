@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
 from .gcd_symm import is_prime
-from .partition_poly import Invariants, invariants
+from .partition_poly import Invariants, distinct_eigenvalue_count, invariants
 from .partitions import Partition
 
 Matrix = list[list[int]]
@@ -193,9 +193,9 @@ class MoritaResult:
     """Verdict plus the witnessing numbers for both sides.
 
     ``blocks`` are the simple-factor counts (their equality is the
-    criterion); ``signed_values`` are gcd(parts) times the polynomial value
-    at 1, whose sign flips with the parity of the part count; reported for
-    inspection, not used for the decision.
+    criterion); ``signed_values`` are the paper's gcd(parts)·ε(1), which
+    is the block count signed by (-1)^(s-1); reported for inspection, not
+    used for the decision.
     """
 
     equivalent: bool
@@ -218,8 +218,9 @@ def morita_equivalent(
     left, right = invariants(lam), invariants(mu)
     _require_decomposable(left.partition, field)
     _require_decomposable(right.partition, field)
-    blocks = (sum(left.h.values), sum(right.h.values))
-    signed = (left.signed_value, right.signed_value)
+    blocks = (distinct_eigenvalue_count(left), distinct_eigenvalue_count(right))
+    # d·ε(1) = (-1)^(s-1)·(block count), the identity the README states.
+    signed = tuple(b if r.h.s % 2 else -b for b, r in zip(blocks, (left, right)))
     return MoritaResult(
         equivalent=blocks[0] == blocks[1], blocks=blocks, signed_values=signed
     )

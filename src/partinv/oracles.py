@@ -315,8 +315,8 @@ def check_power_norm_vs_g(samples: list[_Sample]) -> Outcomes:
 
 @_family("h-vector vs root counting")
 def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
-    """Direct root-of-unity counting against the reported (gcd-closure)
-    h-vector and the inclusion-exclusion transform of the g-vector."""
+    """Direct root-of-unity counting against the record's (gcd-closure)
+    h-vector and its round trip through ``_g_from_h`` and ``h_vector``."""
     for sample in samples:
         lam, record = sample.lam, sample.record
         expected = eigenvalue_multiplicities(lam, sample.roots).values

@@ -5,16 +5,17 @@ coefficients are the normalized gcd-symmetric values g_{i+1}/g_s with
 alternating signs.  Two partitions are equivalent when the polynomials
 coincide; within a fixed (s, n) this is the same as having equal g-vectors.
 
-:class:`Invariants` holds a partition's h-vector, g-vector and polynomial,
-derived once from its gcd-closure; every function here and in
-:mod:`partinv.algebra` that needs them takes either a partition or that
-record, so a caller that asks several questions about one partition builds
-the record once and passes it.
+:class:`Invariants` holds a partition's h-vector, derived from its
+gcd-closure; the g-vector and the polynomial are derived from h on first
+read and kept.  Every function here and in :mod:`partinv.algebra` that needs
+them takes either a partition or that record, so a caller that asks several
+questions about one partition builds the record once and passes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError
 from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
@@ -69,26 +70,25 @@ def _polynomial(g: GVector) -> PartitionPolynomial:
 
 @dataclass(frozen=True)
 class Invariants:
-    """The h-vector, g-vector and polynomial of one partition."""
+    """One partition's h-vector; g and the polynomial are derived from it on first read."""
 
     partition: Partition
     h: HVector
-    g: GVector
-    polynomial: PartitionPolynomial
 
-    @property
-    def signed_value(self) -> int:
-        """g_s times the polynomial's value at 1; its sign is (-1)^(s-1)."""
-        return self.g[self.g.s] * self.polynomial(1)
+    @cached_property
+    def g(self) -> GVector:
+        return GVector(_g_from_h(self.h.values))
+
+    @cached_property
+    def polynomial(self) -> PartitionPolynomial:
+        return _polynomial(self.g)
 
 
 def invariants(lam: Partition | Invariants) -> Invariants:
     """The record of ``lam``, derived from its gcd-closure; a record is returned as is."""
     if isinstance(lam, Invariants):
         return lam
-    h = _closure_h(lam.parts)
-    g = GVector(_g_from_h(h))
-    return Invariants(partition=lam, h=HVector(h), g=g, polynomial=_polynomial(g))
+    return Invariants(partition=lam, h=HVector(_closure_h(lam.parts)))
 
 
 def epsilon(lam: Partition | Invariants) -> PartitionPolynomial:
@@ -113,14 +113,13 @@ def equivalent(lam: Partition | Invariants, mu: Partition | Invariants) -> bool:
 def distinct_eigenvalue_count(lam: Partition | Invariants) -> int:
     """Number of distinct roots of unity among all parts' root groups.
 
-    Computed as (-1)^(s-1) * g_s * value-at-1 of the polynomial; must be
-    positive, and equals both sum(h_i) and the literal size of the union of
-    the root-of-unity sets (checked by the oracle suite).
+    Computed as sum(h_i), which is also the number of simple blocks of the
+    fixed algebra; must be positive, and equals both the alternating g-sum
+    (-1)^(s-1) * g_s * value-at-1 of the polynomial and the literal size of
+    the union of the root-of-unity sets (checked by the oracle suite).
     """
     record = invariants(lam)
-    value = record.signed_value
-    if record.g.s % 2 == 0:
-        value = -value
+    value = sum(record.h.values)
     if value <= 0:
         raise ConsistencyError(
             f"eigenvalue count must be positive, got {value} for {record.partition}"

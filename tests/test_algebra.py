@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -11,7 +13,9 @@ from partinv import (
     Permutation,
     canonical_permutation,
     dimension,
+    distinct_eigenvalue_count,
     enumerate_partitions,
+    epsilon,
     g_vector,
     gcd_matrix,
     h_vector,
@@ -23,6 +27,7 @@ from partinv import (
     perm_matrix,
     wedderburn,
 )
+from partinv.oracles import _exact_rank
 from util import (
     all_partitions,
     compose,
@@ -335,6 +340,12 @@ class TestMorita:
         assert morita_equivalent(Partition((4, 1)), Partition((4,)), FieldSpec())
         assert not morita_equivalent(Partition((2, 1)), Partition((1, 1)), FieldSpec())
 
+    def test_signed_value_is_gcd_times_epsilon_at_one(self):
+        # The paper's d·ε(1), with d from the parts and not from g.
+        for lam in all_partitions(12):
+            signed = morita_equivalent(lam, lam, FieldSpec()).signed_values[0]
+            assert signed == math.gcd(*lam.parts) * epsilon(lam)(1)
+
     def test_isomorphic_implies_morita(self):
         field = FieldSpec()
         for n in range(2, 15):
@@ -344,6 +355,71 @@ class TestMorita:
                     for mu in pool[i + 1 :]:
                         if isomorphic(lam, mu, field):
                             assert morita_equivalent(lam, mu, field).equivalent
+
+
+def _phi(e):
+    return sum(1 for k in range(1, e + 1) if math.gcd(k, e) == 1)
+
+
+@functools.cache
+def _mobius(k):
+    return 1 if k == 1 else -sum(_mobius(d) for d in range(1, k) if k % d == 0)
+
+
+def _block_counts_from_eigenspaces(lam):
+    """h read off the permutation matrix C: N(d) = nullity(C^d - I) is the sum
+    over e | d of phi(e) * m(e), m(e) the multiplicity of each primitive e-th
+    root; Mobius inversion gives m, and h_i sums phi(e) over the e with m(e) = i."""
+    sigma = canonical_permutation(lam)
+    power = list(range(1, lam.n + 1))  # power[i-1] = sigma^d(i)
+    nullity = {}
+    for d in range(1, max(lam.parts) + 1):
+        power = [sigma(i) for i in power]
+        rows = [{i: -1, j: 1} for i, j in enumerate(power, start=1) if i != j]
+        nullity[d] = lam.n - _exact_rank(rows)
+    h = [0] * lam.s
+    for e in nullity:
+        inverted = sum(_mobius(e // d) * nullity[d] for d in nullity if e % d == 0)
+        multiplicity, rest = divmod(inverted, _phi(e))
+        assert rest == 0
+        if multiplicity:
+            h[multiplicity - 1] += _phi(e)
+    return tuple(h)
+
+
+def _centre_dimension(lam):
+    """r - rank of the system X·B_j = B_j·X in X = sum of x_k B_k over the r
+    pair-orbit indicators B_k: one sparse row per orbit j and cell (a, b)."""
+    orbits = pair_orbits(canonical_permutation(lam))
+    ids, n = orbits.ids, lam.n
+    rows = []
+    for j in range(orbits.count):
+        for a in range(n):
+            for b in range(n):
+                row = {}
+                for c in range(n):
+                    if ids[c][b] == j:
+                        row[ids[a][c]] = row.get(ids[a][c], 0) + 1
+                    if ids[a][c] == j:
+                        row[ids[c][b]] = row.get(ids[c][b], 0) - 1
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    return orbits.count - _exact_rank(rows)
+
+
+class TestAlgebraOracles:
+    """The block data read off the algebra itself, with no gcd reasoning."""
+
+    def test_eigenspace_multiplicities_give_h(self):
+        for lam in all_partitions(16):
+            assert _block_counts_from_eigenspaces(lam) == invariants(lam).h.values
+
+    def test_centre_dimension_is_the_block_count(self):
+        # Over a closed field the centre of a semisimple algebra has one
+        # dimension per simple block, so this decides Morita equivalence.
+        for lam in all_partitions(10):
+            assert _centre_dimension(lam) == distinct_eigenvalue_count(lam)
 
 
 def _pairwise_coprime(lam):

@@ -327,7 +327,8 @@ class TestVerifyAll:
             record = real(lam)
             if lam != Partition((4, 2)):
                 return record
-            h = HVector((record.h[1] + 1, record.h[2]))
+            # Shifting h_1 by g_s keeps the derived g a valid g-vector: (6,2) -> (8,2).
+            h = HVector((record.h[1] + record.g[record.g.s], record.h[2]))
             return dataclasses.replace(record, h=h)
 
         monkeypatch.setattr(partinv.oracles, "invariants", perturbed_h_on_4_2)

@@ -1,19 +1,27 @@
+import dataclasses
 import math
 
 import pytest
 
+import partinv.partition_poly
 from partinv import (
+    FieldSpec,
+    Invariants,
     Partition,
     PartitionPolynomial,
+    dimension,
     distinct_eigenvalue_count,
     epsilon,
     equivalent,
     g_vector,
     h_vector,
     invariants,
+    morita_equivalent,
     root_union,
     scale,
+    wedderburn,
 )
+from partinv.cli import main
 from util import all_partitions
 
 
@@ -146,6 +154,28 @@ class TestInvariantsRecord:
             assert record.h == h_vector(record.g)
             assert record.polynomial == epsilon(lam)
             assert invariants(record) is record
+
+    def test_the_record_stores_h_and_derives_the_rest_once(self):
+        assert [f.name for f in dataclasses.fields(Invariants)] == ["partition", "h"]
+        record = invariants(Partition((8, 2, 1)))
+        assert record.g is record.g
+        assert record.polynomial is record.polynomial
+
+    def test_h_only_readers_build_no_g(self, monkeypatch, capsys):
+        def unbuilt(h):
+            raise AssertionError(f"g derived from h={h}")
+
+        monkeypatch.setattr(partinv.partition_poly, "_g_from_h", unbuilt)
+        lam, field = Partition((4, 1)), FieldSpec()
+        assert dimension(lam) == 7
+        assert wedderburn(lam, field).describe() == "R^3 x M_2(R)"
+        assert morita_equivalent(lam, Partition((4,)), field).equivalent
+        assert distinct_eigenvalue_count(lam) == 4
+        assert main(["morita", "4,1", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "simple blocks: 4 vs 4" in out
+        assert "signed values: -4 vs 4" in out
+        assert "morita: yes" in out
 
 
 class TestEigenvalueCount:

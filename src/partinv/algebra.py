@@ -16,8 +16,6 @@ from .gcd_symm import is_prime
 from .partition_poly import Invariants, distinct_eigenvalue_count, invariants
 from .partitions import Partition
 
-Matrix = list[list[int]]
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -29,7 +27,8 @@ class Permutation:
         n = len(self.images)
         if n == 0:
             raise InputError("a permutation needs degree at least 1")
-        if sorted(self.images) != list(range(1, n + 1)):
+        exact = all(type(image) is int for image in self.images)
+        if not exact or sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"images are not a bijection of 1..{n}: {self.images}")
 
     @property
@@ -49,15 +48,6 @@ def canonical_permutation(lam: Partition) -> Permutation:
         images.append(offset + 1)
         offset += length
     return Permutation(tuple(images))
-
-
-def perm_matrix(sigma: Permutation) -> Matrix:
-    """0/1 matrix with a 1 at (i, sigma(i)) per row, 1-based positions."""
-    n = sigma.n
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        matrix[i - 1][sigma(i) - 1] = 1
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -109,10 +99,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p = self.characteristic
-        if p == 0:
-            return
-        if not is_prime(p):
-            raise InputError(f"characteristic must be 0 or prime, got {p}")
+        if type(p) is not int or (p != 0 and not is_prime(p)):
+            raise InputError(f"characteristic must be 0 or prime, got {p!r}")
 
 
 def is_semisimple(lam: Partition, field: FieldSpec) -> bool:

@@ -247,7 +247,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_all(args.nmax, matrix_cap=args.matrix_cap)
+    report = verify_all(args.nmax)
     _emit(args, report.to_text(), report.to_json_dict())
     return 0 if report.passed else 1
 
@@ -284,8 +284,7 @@ _SHAPES = (
         ),
     ),
     (
-        (("--nmax", dict(type=int, default=10)),
-         ("--matrix-cap", dict(type=int, default=12, dest="matrix_cap"))),
+        (("--nmax", dict(type=int, default=10)),),
         (("verify", "run the oracle cross-check sweep", _cmd_verify),),
     ),
 )

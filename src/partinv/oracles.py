@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .algebra import Permutation, canonical_permutation, dimension, pair_orbits, perm_matrix
+from .algebra import Permutation, canonical_permutation, dimension, pair_orbits
 from .errors import BoundExceededError, InputError
 from .gcd_symm import (
     HVector,
@@ -35,7 +35,7 @@ from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
 from .partitions import Partition, concat, enumerate_partitions, scale
 
 
-# verify_all's largest n and matrix cap; commutant_dimension's largest degree.
+# verify_all's largest n; commutant_dimension's largest degree.
 MAX_VERIFY_N = 25
 MAX_MATRIX_CAP = 16
 
@@ -117,24 +117,22 @@ def _multiset_g(lam: Partition) -> tuple[int, ...]:
 
 
 def _commutation_system(sigma: Permutation) -> list[dict[int, int]]:
-    # Row for each matrix position (i, j): entry of X*C - C*X there, as a
-    # sparse linear form {column: coefficient} in the n^2 unknowns X_pq
-    # ordered row-major, with zero coefficients dropped.
+    # Row for each matrix position (i, j), 0-based: with C the permutation
+    # matrix, a 1 at (i, sigma(i)) per row, the entry of X*C - C*X there is
+    # X[i][sigma^-1(j)] - X[sigma(i)][j], a sparse linear form
+    # {column: coefficient} in the n^2 unknowns X_pq ordered row-major.
+    # Where both terms are the same unknown the entry vanishes: no row.
     n = sigma.n
-    c = perm_matrix(sigma)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row: dict[int, int] = {}
-            for p in range(n):
-                if c[p][j]:
-                    row[i * n + p] = row.get(i * n + p, 0) + 1
-                if c[i][p]:
-                    row[p * n + j] = row.get(p * n + j, 0) - 1
-            row = {col: v for col, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return rows
+    image = [sigma(i + 1) - 1 for i in range(n)]
+    preimage = [0] * n
+    for i, j in enumerate(image):
+        preimage[j] = i
+    return [
+        {i * n + preimage[j]: 1, image[i] * n + j: -1}
+        for i in range(n)
+        for j in range(n)
+        if (i, preimage[j]) != (image[i], j)
+    ]
 
 
 def _exact_rank(rows: list[dict[int, int]]) -> int:
@@ -166,10 +164,11 @@ def _exact_rank(rows: list[dict[int, int]]) -> int:
 def commutant_dimension(sigma: Permutation) -> int:
     """Nullity of the linear system 'X commutes with the permutation matrix'.
 
-    Builds the n^2-by-n^2 integer system literally, one sparse row per
-    matrix position, and eliminates it exactly; the result is the rank of
-    the fixed algebra, found without any orbit or gcd reasoning.  Degrees
-    above ``MAX_MATRIX_CAP`` are refused to keep the elimination size bounded.
+    Builds the n^2-by-n^2 integer system X*C = C*X, one sparse row per
+    matrix position read off sigma, and eliminates it exactly; the result
+    is the rank of the fixed algebra, found without any orbit or gcd
+    reasoning.  Degrees above ``MAX_MATRIX_CAP`` are refused with
+    :class:`BoundExceededError` to keep the elimination size bounded.
     """
     if sigma.n > MAX_MATRIX_CAP:
         raise BoundExceededError(
@@ -543,37 +542,32 @@ def _sweep(
     return tuple(totals)
 
 
-def verify_all(n_max: int, *, matrix_cap: int = 12) -> VerificationReport:
+def verify_all(n_max: int) -> VerificationReport:
     """Run every check family up to ``n_max``, in one :func:`_sweep`.
 
-    ``n_max`` above ``MAX_VERIFY_N`` and ``matrix_cap`` above
-    ``MAX_MATRIX_CAP`` are refused with :class:`BoundExceededError`, and a
-    negative value of either with :class:`InputError`, before any work.
-    Each table P(s, n) is enumerated once and each partition's invariants,
-    root union and gcd-matrix rows are built once, and shared by all twelve
-    families (the g family also checks its sub-multiset oracle against
-    :func:`brute_g` for n <= 12).  Matrix-backed families (orbit walking,
-    commutation-system nullity) are capped at ``matrix_cap``; the three
-    pair families, whose instance counts grow quadratically, at 12, 10 and
-    14.  Family order is fixed, so reports are deterministic.
+    ``n_max`` above ``MAX_VERIFY_N`` is refused with
+    :class:`BoundExceededError`, and a negative one with :class:`InputError`,
+    before any work.  Each table P(s, n) is enumerated once and each
+    partition's invariants, root union and gcd-matrix rows are built once,
+    and shared by all twelve families (the g family also checks its
+    sub-multiset oracle against :func:`brute_g` for n <= 12).  The
+    permutation families (orbit walking, commutation-system nullity) stop
+    at n = 12, and the three pair families, whose instance counts grow
+    quadratically, at 12, 10 and 14.  Family order is fixed, so reports are
+    deterministic.
     """
     if n_max < 0:
         raise InputError(f"--nmax must be nonnegative, got {n_max}")
     if n_max > MAX_VERIFY_N:
         raise BoundExceededError(f"--nmax above {MAX_VERIFY_N} is refused")
-    if matrix_cap < 0:
-        raise InputError(f"--matrix-cap must be nonnegative, got {matrix_cap}")
-    if matrix_cap > MAX_MATRIX_CAP:
-        raise BoundExceededError(f"--matrix-cap must be within 0..{MAX_MATRIX_CAP}")
-    matrix_bound = min(n_max, matrix_cap)
     families = _sweep(
         (
             (check_g_vector_vs_brute, n_max),
             (check_power_norm_vs_g, n_max),
             (check_h_vector_vs_roots, n_max),
             (check_inclusion_exclusion, n_max),
-            (check_orbit_count_vs_gcd_sum, matrix_bound),
-            (check_commutant_dimension, matrix_bound),
+            (check_orbit_count_vs_gcd_sum, min(n_max, 12)),
+            (check_commutant_dimension, min(n_max, 12)),
             (check_block_sum_rules, n_max),
             (check_determinant_bounds, n_max),
             (check_scaling_invariance, n_max),

@@ -24,7 +24,6 @@ from partinv import (
     isomorphic,
     morita_equivalent,
     pair_orbits,
-    perm_matrix,
     wedderburn,
 )
 from partinv.oracles import _exact_rank
@@ -32,11 +31,9 @@ from util import (
     all_partitions,
     compose,
     cycle_type,
-    identity_matrix,
     inverse,
     mat_eq,
     mat_mul,
-    mat_transpose,
     permutation,
 )
 
@@ -54,8 +51,10 @@ class TestPermutation:
         assert cycle_type(e).parts == (1, 1, 1, 1)
 
     def test_not_a_bijection(self):
-        with pytest.raises(InputError):
-            Permutation((1, 1, 3))
+        # Images must be exactly ints: 2.0 and True compare equal to 2 and 1.
+        for images in [(1, 1, 3), (2.0, 1.0), (2, True), (True,), (1, "2")]:
+            with pytest.raises(InputError, match="not a bijection"):
+                Permutation(images)
 
     def test_parse_cycles(self):
         sigma = permutation(5, (1, 2, 3), (4, 5))
@@ -89,33 +88,6 @@ class TestPermutation:
     def test_full_cycle(self):
         sigma = canonical_permutation(Partition((6,)))
         assert cycle_type(sigma).parts == (6,)
-
-
-class TestPermMatrix:
-    def test_identity(self):
-        assert perm_matrix(permutation(3)) == identity_matrix(3)
-
-    def test_one_per_row_and_column(self):
-        sigma = permutation(5, (1, 2, 3), (4, 5))
-        m = perm_matrix(sigma)
-        assert all(sum(row) == 1 for row in m)
-        assert all(sum(col) == 1 for col in zip(*m))
-        assert m[0][1] == 1  # 1 maps to 2
-
-    def test_product_law(self):
-        rng = random.Random(11)
-        for n in range(2, 9):
-            sigma = random_permutation(rng, n)
-            tau = random_permutation(rng, n)
-            assert mat_eq(
-                mat_mul(perm_matrix(sigma), perm_matrix(tau)), perm_matrix(compose(sigma, tau))
-            )
-
-    def test_transpose_is_inverse(self):
-        rng = random.Random(13)
-        for n in range(2, 9):
-            sigma = random_permutation(rng, n)
-            assert mat_eq(mat_transpose(perm_matrix(sigma)), perm_matrix(inverse(sigma)))
 
 
 class TestPairOrbits:
@@ -191,7 +163,7 @@ class TestOrbitBasis:
             sigma = canonical_permutation(lam)
             basis = orbit_indicators(sigma)
             assert len(set(basis)) == pair_orbits(sigma).count
-            c = perm_matrix(sigma)
+            c = [[int(sigma(i + 1) == j + 1) for j in range(sigma.n)] for i in range(sigma.n)]
             for m in basis:
                 rows = [list(r) for r in m]
                 assert mat_eq(mat_mul(rows, c), mat_mul(c, rows))
@@ -237,12 +209,11 @@ class TestFieldAndSemisimplicity:
         FieldSpec(0)
         FieldSpec(2)
         FieldSpec(97)
-        with pytest.raises(InputError):
-            FieldSpec(4)
-        with pytest.raises(InputError):
-            FieldSpec(-3)
-        with pytest.raises(InputError):
-            FieldSpec(1)
+        # The characteristic must be exactly an int: 2.0 and False compare
+        # equal to 2 and 0.
+        for p in [4, -3, 1, 2.0, 5.5, 0.0, False, True, "3"]:
+            with pytest.raises(InputError, match="characteristic must be 0 or prime"):
+                FieldSpec(p)
 
     def test_semisimple(self):
         assert not is_semisimple(Partition((4, 2)), FieldSpec(2))

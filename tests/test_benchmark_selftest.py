@@ -13,5 +13,7 @@ def test_benchmark_selftest_passes():
         [sys.executable, "benchmarks/selftest.py"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
+    # The failed checks first, so a failure names them whatever else is printed.
+    assert [line for line in result.stdout.splitlines() if line.startswith("FAIL:")] == []
     assert result.returncode == 0, result.stdout + result.stderr
     assert "selftest passed" in result.stdout

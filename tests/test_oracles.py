@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from partinv import (
     HVector,
     InputError,
     Partition,
+    Permutation,
     brute_g,
     canonical_permutation,
     commutant_dimension,
@@ -37,7 +39,7 @@ from partinv.oracles import (
     _sweep,
     check_scaling_invariance,
 )
-from util import all_partitions, permutation
+from util import all_partitions, cycle_type, permutation
 
 
 class TestReducedFractions:
@@ -167,6 +169,16 @@ class TestCommutant:
             sigma = canonical_permutation(lam)
             assert commutant_dimension(sigma) == sum(map(sum, gcd_matrix(lam)))
 
+    def test_matches_gcd_total_on_every_small_permutation(self):
+        sigmas = [
+            Permutation(images)
+            for n in range(1, 7)
+            for images in itertools.permutations(range(1, n + 1))
+        ]
+        assert len(sigmas) == 873
+        for sigma in sigmas:
+            assert commutant_dimension(sigma) == sum(map(sum, gcd_matrix(cycle_type(sigma))))
+
 
 def _sparse(rows):
     return [{col: v for col, v in enumerate(row) if v} for row in rows]
@@ -238,14 +250,10 @@ class TestVerifyAll:
     def test_negative_bound_rejected(self):
         with pytest.raises(InputError):
             verify_all(-1)
-        with pytest.raises(InputError):
-            verify_all(5, matrix_cap=-1)
 
     def test_bounds_hold_for_library_calls(self):
         with pytest.raises(BoundExceededError):
             verify_all(26)
-        with pytest.raises(BoundExceededError):
-            verify_all(5, matrix_cap=17)
 
     def test_fault_injection_is_reported(self, monkeypatch):
         real = partinv.oracles._multiset_g

@@ -64,16 +64,8 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(a[i][p] * b[p][j] for p in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_transpose(a) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_eq(a, b) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def permutation(n: int, *cycles: tuple[int, ...]) -> Permutation:

@@ -24,6 +24,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.images) is not tuple:
+            raise InputError(f"images must be a tuple, got {type(self.images).__name__}")
         n = len(self.images)
         if n == 0:
             raise InputError("a permutation needs degree at least 1")
@@ -92,10 +94,9 @@ def dimension(lam: Partition | Invariants) -> int:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field data: characteristic (0 or a prime) and closedness."""
+    """The ground field: algebraically closed, of characteristic 0 or a prime."""
 
     characteristic: int = 0
-    algebraically_closed: bool = True
 
     def __post_init__(self) -> None:
         p = self.characteristic
@@ -144,9 +145,7 @@ def not_semisimple_message(lam: Partition, field: FieldSpec) -> str:
     return f"not semisimple ({p} divides {listing})"
 
 
-def _require_decomposable(lam: Partition, field: FieldSpec) -> None:
-    if not field.algebraically_closed:
-        raise InputError("block decomposition requires an algebraically closed field")
+def _require_semisimple(lam: Partition, field: FieldSpec) -> None:
     if not is_semisimple(lam, field):
         raise InputError(
             f"{not_semisimple_message(lam, field)} at characteristic {field.characteristic}"
@@ -157,7 +156,7 @@ def wedderburn(lam: Partition | Invariants, field: FieldSpec) -> WedderburnShape
     """Block multiplicities of the fixed algebra; they are the h-vector."""
     record = invariants(lam)
     lam = record.partition
-    _require_decomposable(lam, field)
+    _require_semisimple(lam, field)
     shape = WedderburnShape(multiplicities=record.h.values)
     if shape.n != lam.n:
         raise ConsistencyError(f"block sizes sum to {shape.n}, expected {lam.n}")
@@ -171,8 +170,8 @@ def isomorphic(
 ) -> bool:
     """Whether the two fixed algebras are isomorphic: equal degree and polynomial."""
     left, right = invariants(lam), invariants(mu)
-    _require_decomposable(left.partition, field)
-    _require_decomposable(right.partition, field)
+    _require_semisimple(left.partition, field)
+    _require_semisimple(right.partition, field)
     return left.partition.n == right.partition.n and left.polynomial == right.polynomial
 
 
@@ -204,8 +203,8 @@ def morita_equivalent(
     i.e. when they have the same number of simple factors.
     """
     left, right = invariants(lam), invariants(mu)
-    _require_decomposable(left.partition, field)
-    _require_decomposable(right.partition, field)
+    _require_semisimple(left.partition, field)
+    _require_semisimple(right.partition, field)
     blocks = (distinct_eigenvalue_count(left), distinct_eigenvalue_count(right))
     # d·ε(1) = (-1)^(s-1)·(block count), the identity the README states.
     signed = tuple(b if r.h.s % 2 else -b for b, r in zip(blocks, (left, right)))

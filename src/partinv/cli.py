@@ -31,9 +31,7 @@ from .partitions import parse_partition
 
 
 def _field(args: argparse.Namespace) -> FieldSpec:
-    return FieldSpec(
-        characteristic=args.char, algebraically_closed=not args.not_closed
-    )
+    return FieldSpec(characteristic=args.char)
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -55,9 +53,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dim = dimension(record)
     det = gcd_matrix_det_and_bounds(lam)
     semisimple = is_semisimple(lam, field)
-    shape = None
-    if semisimple and field.algebraically_closed:
-        shape = wedderburn(record, field)
+    shape = wedderburn(record, field) if semisimple else None
 
     lines = [
         f"partition: {lam}",
@@ -80,8 +76,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"semisimple: no, {not_semisimple_message(lam, field)}")
     if shape is not None:
         lines.append(f"blocks: {shape.describe()}")
-    elif semisimple and not field.algebraically_closed:
-        lines.append("blocks: unavailable (field not algebraically closed)")
 
     payload = {
         "partition": list(lam.parts),
@@ -98,7 +92,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "distinct": det.distinct,
         },
         "characteristic": field.characteristic,
-        "algebraically_closed": field.algebraically_closed,
+        "algebraically_closed": True,  # the only field modelled; kept for the JSON shape
         "semisimple": semisimple,
         "wedderburn": {str(i): v for i, v in shape.as_dict().items()} if shape else None,
     }
@@ -255,8 +249,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _FIELD_FLAGS = (
     ("--char", dict(type=int, default=0, metavar="P",
                     help="field characteristic, 0 or a prime (default 0)")),
-    ("--not-closed", dict(action="store_true",
-                          help="field is not algebraically closed; disables block decompositions")),
 )
 
 # The argument shapes, each declared once, with the (name, help, handler)

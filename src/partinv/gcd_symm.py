@@ -219,8 +219,11 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin over the prime bases 2..41.
 
     Exact for every m below psi_13 = 3317044064679887385961981; larger m is
-    refused with :class:`BoundExceededError` rather than answered by chance.
+    refused with :class:`BoundExceededError` rather than answered by chance,
+    and anything but an int with :class:`InputError`.
     """
+    if type(m) is not int:
+        raise InputError(f"primality needs an integer, got {m!r}")
     if m >= _WITNESS_BOUND:
         raise BoundExceededError(f"primality is decided only below {_WITNESS_BOUND}, got {m}")
     if m < 2 or any(m % p == 0 for p in _WITNESSES):
@@ -271,8 +274,8 @@ def _prime_factors(m: int) -> set[int]:
 
 def euler_phi(m: int) -> int:
     """Euler's totient, by trial-division factorization."""
-    if m < 1:
-        raise InputError(f"totient needs a positive integer, got {m}")
+    if type(m) is not int or m < 1:
+        raise InputError(f"totient needs a positive integer, got {m!r}")
     result = m
     for p in _prime_factors(m):
         result -= result // p

@@ -25,6 +25,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.parts) is not tuple:
+            raise InputError(f"parts must be a tuple, got {type(self.parts).__name__}")
         if not self.parts:
             raise InputError("a partition needs at least one part")
         for p in self.parts:

@@ -56,6 +56,11 @@ class TestPermutation:
             with pytest.raises(InputError, match="not a bijection"):
                 Permutation(images)
 
+    def test_rejects_a_list(self):
+        # A list would pass the bijection check but leave the value unhashable.
+        with pytest.raises(InputError, match="images must be a tuple, got list"):
+            Permutation([2, 1])
+
     def test_parse_cycles(self):
         sigma = permutation(5, (1, 2, 3), (4, 5))
         assert sigma.images == (2, 3, 1, 5, 4)
@@ -236,10 +241,6 @@ class TestWedderburn:
         shape = wedderburn(Partition((9,)), FieldSpec())
         assert shape.multiplicities == (9,)
 
-    def test_requires_closed_field(self):
-        with pytest.raises(InputError, match="closed"):
-            wedderburn(Partition((4, 1)), FieldSpec(algebraically_closed=False))
-
     def test_requires_semisimple(self):
         with pytest.raises(InputError, match="not semisimple"):
             wedderburn(Partition((4, 2)), FieldSpec(2))
@@ -284,10 +285,6 @@ class TestIsomorphism:
     def test_precondition_errors(self):
         with pytest.raises(InputError):
             isomorphic(Partition((4, 2)), Partition((3, 3)), FieldSpec(2))
-        with pytest.raises(InputError):
-            isomorphic(
-                Partition((2, 1)), Partition((3,)), FieldSpec(algebraically_closed=False)
-            )
 
 
 class TestMorita:

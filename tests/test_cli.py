@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -70,11 +71,6 @@ class TestAnalyze:
         # reconstruct the emitting values from the document
         lam = Partition(tuple(data["partition"]))
         assert list(g_vector(lam).values) == data["g_vector"]
-
-    def test_not_closed_field_drops_blocks(self, capsys):
-        code, out, _ = run(capsys, "analyze", "8,2,1", "--not-closed")
-        assert code == 0
-        assert "blocks: unavailable" in out
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "4,0,1")
@@ -156,11 +152,6 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "4,2", "3,3", "--char", "2")
         assert code == 2
         assert "not semisimple" in err
-
-    def test_not_closed_is_a_precondition_error(self, capsys):
-        code, _, err = run(capsys, "compare", "4,1", "3,2", "--not-closed")
-        assert code == 2
-        assert "closed" in err
 
 
 class TestLargeParts:
@@ -566,6 +557,16 @@ class TestDeclaration:
         assert code == 0
         assert out.startswith(f"usage: partinv {command}")
 
+    def test_readme_flags_name_exactly_the_declared_options(self, capsys):
+        declared = set()
+        for command in COMMANDS:
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            declared |= set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        flags = re.search(r"^Flags:.*?(?=\n\n)", readme, re.M | re.S).group()
+        assert set(re.findall(r"--[a-z][a-z-]*", flags)) == declared - {"--help"}
+
     @pytest.mark.parametrize(
         "argv", [["compare", "8,2,1"], ["morita"], ["count", "3"], ["classify"]]
     )
@@ -590,7 +591,7 @@ class TestDeclaration:
     def test_nothing_leaks_between_calls(self, capsys):
         fresh = run_module("analyze", "4,1")
         assert fresh.returncode == 0
-        assert run(capsys, "analyze", "4,1", "--char", "3", "--not-closed", "--format", "json")[0] == 0
+        assert run(capsys, "analyze", "4,1", "--char", "3", "--format", "json")[0] == 0
         assert run(capsys, "analyze", "4,1") == (0, fresh.stdout, fresh.stderr)
 
     def test_fresh_interpreter(self):

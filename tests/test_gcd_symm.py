@@ -12,6 +12,7 @@ from partinv import (
     BoundExceededError,
     ConsistencyError,
     GVector,
+    InputError,
     Partition,
     euler_phi,
     g_vector,
@@ -340,6 +341,11 @@ class TestEulerPhi:
         with pytest.raises(BoundExceededError):
             euler_phi(1000003 * 1000033)  # both primes are above the bound
 
+    @pytest.mark.parametrize("m", [6.0, True, "6", 6.5])
+    def test_refuses_what_is_not_an_int(self, m):
+        with pytest.raises(InputError, match="positive integer"):
+            euler_phi(m)
+
     def test_large_primes_are_not_trial_divided(self):
         rng = random.Random(1)
         primes = set()
@@ -378,3 +384,8 @@ class TestIsPrime:
             is_prime(psi_13)
         with pytest.raises(BoundExceededError):
             is_prime(2**127 - 1)
+
+    @pytest.mark.parametrize("m", [7.0, True, "7", 7.5])
+    def test_refuses_what_is_not_an_int(self, m):
+        with pytest.raises(InputError, match="needs an integer"):
+            is_prime(m)

@@ -45,6 +45,11 @@ class TestPartitionType:
             with pytest.raises(InputError, match="positive integer"):
                 Partition(parts)
 
+    def test_rejects_a_list(self):
+        # A list would pass every part check but leave the value unhashable.
+        with pytest.raises(InputError, match="parts must be a tuple, got list"):
+            Partition([3, 1])
+
 
 class TestParse:
     def test_sorted_input(self):

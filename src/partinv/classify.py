@@ -125,7 +125,7 @@ def _groups(s: int, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     Every table command goes through here, so all of them are refused as
     :func:`classify` documents.
     """
-    if s < 1 or n < s:
+    if type(s) is not int or type(n) is not int or s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
     if _size_lower_bound(s, n - s) > MAX_CLASSIFY_SIZE:
         raise BoundExceededError(

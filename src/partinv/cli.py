@@ -71,11 +71,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines.append("determinant bounds: not asserted (repeated parts)")
     lines.append(f"characteristic: {field.characteristic}")
     if semisimple:
-        lines.append("semisimple: yes")
+        lines += ["semisimple: yes", f"blocks: {shape.describe()}"]
     else:
         lines.append(f"semisimple: no, {not_semisimple_message(lam, field)}")
-    if shape is not None:
-        lines.append(f"blocks: {shape.describe()}")
 
     payload = {
         "partition": list(lam.parts),

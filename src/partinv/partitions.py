@@ -109,7 +109,7 @@ def enumerate_partitions(s: int, n: int) -> Iterator[Partition]:
     is fixed and relied upon by the classification code.  Empty when
     ``s > n``.
     """
-    if s < 1 or n < 1:
+    if type(s) is not int or type(n) is not int or s < 1 or n < 1:
         raise InputError(f"need s >= 1 and n >= 1, got s={s}, n={n}")
     return (Partition(parts) for parts in _descending(n, s))
 
@@ -123,7 +123,7 @@ def count_partitions(s: int, n: int) -> int:
     every coefficient up to it unchanged, so at most min(s, n - s) passes of
     n - s additions each are made.  Zero when ``s > n``.
     """
-    if s < 0 or n < 0:
+    if type(s) is not int or type(n) is not int or s < 0 or n < 0:
         raise InputError(f"need s >= 0 and n >= 0, got s={s}, n={n}")
     if n < s:
         return 0
@@ -142,6 +142,6 @@ def concat(lam: Partition, mu: Partition) -> Partition:
 
 def scale(d: int, lam: Partition) -> Partition:
     """Multiply every part by ``d >= 1``."""
-    if d < 1:
+    if type(d) is not int or d < 1:
         raise InputError(f"scale factor must be >= 1, got {d}")
     return Partition(tuple(d * p for p in lam.parts))

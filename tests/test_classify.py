@@ -15,6 +15,7 @@ from partinv import (
     scale,
     self_equivalent,
 )
+from partinv.classify import MAX_TABLE_CELLS
 
 
 class TestClassify:
@@ -57,6 +58,10 @@ class TestClassify:
             self_equivalent(2, 400002)
         with pytest.raises(BoundExceededError):
             count_classes(2, 400002)
+
+    def test_s_times_n_refusal(self):
+        with pytest.raises(BoundExceededError, match=r"s\*n above the limit"):
+            count_classes(1, MAX_TABLE_CELLS + 1)
 
     def test_count_and_singletons_agree_with_classify(self):
         for n in range(1, 19):

@@ -25,7 +25,7 @@ from partinv import (
     verify_all,
     wedderburn,
 )
-from partinv.classify import MAX_CLASSIFY_SIZE, _size_lower_bound
+from partinv.classify import MAX_CLASSIFY_SIZE, MAX_TABLE_CELLS, _size_lower_bound
 from partinv.cli import main
 from util import fraction_free_det, prime_quotients
 
@@ -412,6 +412,11 @@ class TestTableBounds:
         assert code == 4
         assert out == ""
         assert "limit" in err
+
+    def test_s_times_n_refusal(self, capsys):
+        code, out, err = run(capsys, "count", "1", str(MAX_TABLE_CELLS + 1))
+        assert (code, out) == (4, "")
+        assert err == "refused: P(1,6000001) has s*n above the limit 6000000\n"
 
     def test_size_lower_bound(self):
         for n in range(1, 41):

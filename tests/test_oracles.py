@@ -284,6 +284,18 @@ class TestVerifyAll:
         assert failing[0].instances == 29
         assert failing[0].failures == (Failure("4,2", "brute_g=(6, 1)", "multiset=(6, 2)"),)
 
+    def test_dimension_fault_is_reported_above_n_12(self, monkeypatch):
+        real = partinv.oracles.dimension
+
+        def off_by_one_on_7_6(record):
+            value = real(record)
+            return value + 1 if record.partition == Partition((7, 6)) else value
+
+        monkeypatch.setattr(partinv.oracles, "dimension", off_by_one_on_7_6)
+        failing = [f for f in verify_all(13).families if not f.passed]
+        assert [f.family for f in failing] == ["block multiplicity sum rules"]
+        assert failing[0].failures == (Failure("7,6", "n=13 dim=15", "sum_ih=13 sum_iih=16"),)
+
     def test_each_partition_is_enumerated_and_derived_once(self, monkeypatch):
         n_max = 8
         spied = ("enumerate_partitions", "invariants", "root_union", "gcd_matrix")

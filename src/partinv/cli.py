@@ -30,10 +30,6 @@ from .partition_poly import Invariants, PartitionPolynomial, equivalent, invaria
 from .partitions import parse_partition
 
 
-def _field(args: argparse.Namespace) -> FieldSpec:
-    return FieldSpec(characteristic=args.char)
-
-
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -47,7 +43,7 @@ def _polynomial_payload(eps: PartitionPolynomial) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
-    field = _field(args)
+    field = FieldSpec(characteristic=args.char)
     record = invariants(lam)
     g, h, eps = record.g, record.h, record.polynomial
     dim = dimension(record)
@@ -101,7 +97,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _compare_payload(args: argparse.Namespace) -> tuple[Invariants, Invariants, FieldSpec]:
     lam = parse_partition(args.left)
     mu = parse_partition(args.right)
-    field = _field(args)
+    field = FieldSpec(characteristic=args.char)
     return invariants(lam), invariants(mu), field
 
 

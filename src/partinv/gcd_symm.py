@@ -306,9 +306,9 @@ class DetBounds:
     distinct; ``distinct`` records that.  Distinct parts make the matrix
     positive definite (Smith 1875: G = E diag(phi) E^T, where the 0/1 matrix
     E of parts against their divisors has independent rows), so no leading
-    minor is zero and the elimination needs no pivot search.  For a single
-    part the upper-bound formula degenerates (s!/2 is not an integer), so
-    the part itself is reported as the upper bound.
+    minor is zero and the elimination needs no pivot search.  The upper
+    bound subtracts floor(s!/2), which for a single part is 0, so the part
+    itself is the bound.
     """
 
     determinant: int
@@ -326,15 +326,13 @@ def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
     """
     # Factoring for the lower bound comes first: a part that cannot be
     # factored is refused before the elimination is paid for.
-    lower = math.prod(euler_phi(p) ** m for p, m in Counter(lam.parts).items())
-    parts = sorted(set(lam.parts))
-    distinct = len(parts) == lam.s
+    counts = Counter(lam.parts)
+    lower = math.prod(euler_phi(p) ** m for p, m in counts.items())
+    distinct = len(counts) == lam.s
     det = 0
     if distinct:
+        parts = sorted(counts)
         gcds = [[math.gcd(a, b) for b in parts[i:]] for i, a in enumerate(parts)]
         det = _positive_definite_det(gcds)
-    if lam.s == 1:
-        upper = lam.parts[0]
-    else:
-        upper = math.prod(lam.parts) - math.factorial(lam.s) // 2
+    upper = math.prod(lam.parts) - math.factorial(lam.s) // 2
     return DetBounds(determinant=det, lower=lower, upper=upper, distinct=distinct)

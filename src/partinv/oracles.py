@@ -22,7 +22,6 @@ from .algebra import Permutation, canonical_permutation, dimension, pair_orbits
 from .errors import BoundExceededError, InputError
 from .gcd_symm import (
     HVector,
-    Rows,
     g_vector,
     gcd_matrix,
     gcd_matrix_det_and_bounds,
@@ -236,27 +235,17 @@ class VerificationReport:
 
 
 class _Sample:
-    """One partition of a table, with the values that several families read.
-
-    The root union and the gcd-matrix rows are built on first read, so a
-    sweep whose families never read them never builds them.
+    """One partition of a table, with the values that several families read:
+    its invariants, its root union, its gcd-matrix rows and their total,
+    all built when the sample is.
     """
 
     def __init__(self, lam: Partition) -> None:
         self.lam = lam
         self.record = invariants(lam)
-
-    @functools.cached_property
-    def roots(self) -> set[ReducedFraction]:
-        return root_union(self.lam)
-
-    @functools.cached_property
-    def gcd_rows(self) -> Rows:
-        return gcd_matrix(self.lam)
-
-    @functools.cached_property
-    def gcd_total(self) -> int:
-        return sum(map(sum, self.gcd_rows))
+        self.roots = root_union(lam)
+        self.gcd_rows = gcd_matrix(lam)
+        self.gcd_total = sum(map(sum, self.gcd_rows))
 
 
 Outcome = Failure | None
@@ -266,15 +255,17 @@ Outcomes = Iterator[Outcome]
 def _family(name: str):
     """Make a check family of a sweep over one table's samples that yields
     one outcome per instance: ``None`` where the instance passes, its
-    :class:`Failure` where it fails."""
+    :class:`Failure` where it fails.  The check carries the family's name
+    as ``check.family``."""
 
     def decorate(sweep: Callable[..., Outcomes]) -> Callable[..., FamilyResult]:
         @functools.wraps(sweep)
-        def check(*args, **kwargs) -> FamilyResult:
-            outcomes = list(sweep(*args, **kwargs))
+        def check(samples: list[_Sample]) -> FamilyResult:
+            outcomes = list(sweep(samples))
             failures = tuple(f for f in outcomes if f is not None)
             return FamilyResult(name, len(outcomes), failures)
 
+        check.family = name
         return check
 
     return decorate
@@ -414,8 +405,6 @@ def check_append_part(samples: list[_Sample]) -> Outcomes:
     all ones); inequivalent pairs must stay inequivalent.
     """
     classes = _classes(samples)
-    if not classes:
-        return
     coprime_m = _prime_above(classes[0][0].lam.n)
     for cls in classes:
         for lam, mu in itertools.combinations([x.lam for x in cls], 2):
@@ -500,14 +489,14 @@ def _sweep(
     """Run each ``(family, bound)`` of ``plan`` on every partition with n <= bound.
 
     Each table P(s, n) up to the largest bound is enumerated once, and each
-    of its partitions is sampled once: its invariants, and its root union
-    and gcd-matrix rows when a family first reads them.  Every family whose
-    bound reaches n then checks the table's samples (the pair families take
-    their pairs from the samples too), and its results are added up over
-    the tables.  Only one table's samples are held at a time.  Results are
-    in plan order.
+    of its partitions is sampled once: its invariants, root union and
+    gcd-matrix rows.  Every family whose bound reaches n then checks the
+    table's samples (the pair families take their pairs from the samples
+    too), and its results are added up over the tables, starting from no
+    instances, so no family is run on an empty table.  Only one table's
+    samples are held at a time.  Results are in plan order.
     """
-    totals = [family([]) for family, _ in plan]
+    totals = [FamilyResult(family.family, 0, ()) for family, _ in plan]
     n_max = max((bound for _, bound in plan), default=0)
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
@@ -530,7 +519,7 @@ def verify_all(n_max: int) -> VerificationReport:
     :class:`BoundExceededError`, and a negative one with :class:`InputError`,
     before any work.  Each table P(s, n) is enumerated once and each
     partition's invariants, root union and gcd-matrix rows are built once,
-    and shared by all twelve families (the g family also checks its
+    with its sample, and shared by all twelve families (the g family also checks its
     sub-multiset oracle against :func:`brute_g` for n <= 12).  The
     permutation families (orbit walking, commutation-system nullity) stop
     at n = 12, and the three pair families, whose instance counts grow

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import itertools
 import json
@@ -30,14 +31,12 @@ from partinv import (
     verify_all,
 )
 import partinv.oracles
-from partinv.gcd_symm import _closure_h
+from partinv.gcd_symm import DetBounds, _closure_h
 from partinv.oracles import (
     Failure,
     ReducedFraction,
     _exact_rank,
     _multiset_g,
-    _sweep,
-    check_scaling_invariance,
 )
 from util import all_partitions, cycle_type, permutation
 
@@ -217,6 +216,9 @@ class TestExactRank:
         assert _exact_rank(_sparse(rows)) == 2
 
 
+_EQ, _NE = "equivalent", "inequivalent"
+
+
 class TestVerifyAll:
     def test_small_sweep_passes(self):
         report = verify_all(6)
@@ -331,14 +333,58 @@ class TestVerifyAll:
         scaled = Counter((scale(d, lam),) for (lam,) in once for d in range(2, 5))
         assert calls["invariants"] == once + scaled
 
-    def test_a_sweep_builds_only_what_its_families_read(self, monkeypatch):
-        def unread(lam):
-            raise AssertionError(f"built for {lam}, which no family reads")
+    @pytest.mark.parametrize(
+        "verdict,failing",
+        [
+            (
+                False,
+                [
+                    ("append-part equivalence", 26, Failure("4,1 ~ 3,2 m=1", _EQ, _NE)),
+                    (
+                        "concatenation of equivalent pairs",
+                        24,
+                        Failure("(4,1;7,5) vs (3,2;11,1) d=1", _EQ, _NE),
+                    ),
+                    ("gcd multiset sufficiency", 13, Failure("4,1 vs 3,2", _EQ, _NE)),
+                ],
+            ),
+            (True, [("append-part equivalence", 26, Failure("3,1 !~ 2,2 m=5", _NE, _EQ))]),
+        ],
+    )
+    def test_equivalence_faults_are_reported(self, monkeypatch, verdict, failing):
+        monkeypatch.setattr(partinv.oracles, "equivalent", lambda left, right: verdict)
+        failed = [f for f in verify_all(8).families if not f.passed]
+        assert [(f.family, len(f.failures), f.failures[0]) for f in failed] == failing
+        # Only the append family's inequivalent leg fails on a verdict of True.
+        assert all((" !~ " in f.input) == verdict for fam in failed for f in fam.failures)
 
-        monkeypatch.setattr(partinv.oracles, "root_union", unread)
-        monkeypatch.setattr(partinv.oracles, "gcd_matrix", unread)
-        (scaling,) = _sweep([(check_scaling_invariance, 8)])
-        assert scaling.passed and scaling.instances > 0
+    def test_determinant_bound_fault_is_reported(self, monkeypatch):
+        monkeypatch.setattr(
+            partinv.oracles, "gcd_matrix_det_and_bounds", lambda lam: DetBounds(0, 1, 2, True)
+        )
+        failing = [f for f in verify_all(5).families if not f.passed]
+        assert [(f.family, len(f.failures)) for f in failing] == [("gcd determinant bounds", 9)]
+        assert failing[0].failures[0] == Failure("1", "1 <= det <= 2", "0")
+
+    @pytest.mark.parametrize("n_max", [0, 1, 8])
+    def test_no_family_runs_on_an_empty_table(self, monkeypatch, n_max):
+        called, empty = set(), set()
+
+        def spy(family):
+            @functools.wraps(family)
+            def counted(samples):
+                (called if samples else empty).add(family.__name__)
+                return family(samples)
+
+            return counted
+
+        names = [name for name in vars(partinv.oracles) if name.startswith("check_")]
+        assert len(names) == 12
+        for name in names:
+            monkeypatch.setattr(partinv.oracles, name, spy(getattr(partinv.oracles, name)))
+        assert verify_all(n_max).passed
+        assert empty == set()
+        assert called == (set(names) if n_max else set())
 
     def test_reported_h_vector_is_checked(self, monkeypatch):
         real = partinv.oracles.invariants

@@ -1,5 +1,5 @@
-"""The package's public surface: the export list, the README example and
-the integer rule for library arguments."""
+"""The package's public surface: the export list, the README example, the
+integer rule for library arguments and the refusals of malformed values."""
 
 import ast
 import doctest
@@ -8,7 +8,19 @@ from pathlib import Path
 import pytest
 
 import partinv
-from partinv import InputError, Partition
+from partinv import (
+    ConsistencyError,
+    FieldSpec,
+    GVector,
+    HVector,
+    InputError,
+    Invariants,
+    Partition,
+    Permutation,
+    distinct_eigenvalue_count,
+    wedderburn,
+)
+from partinv.oracles import root_fraction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -62,3 +74,49 @@ _INTEGER_ARGUMENTS = {
 def test_integer_arguments_are_exactly_int(call, value):
     with pytest.raises(InputError):
         call(value)
+
+
+# Refusals of malformed values that no command line can reach: each names
+# what is wrong.
+_REFUSALS = {
+    "Permutation(())": (
+        lambda: Permutation(()),
+        InputError,
+        "a permutation needs degree at least 1",
+    ),
+    "GVector(())": (lambda: GVector(()), ConsistencyError, "empty g-vector"),
+    "GVector((0,))": (lambda: GVector((0,)), ConsistencyError, "g_1 must be positive, got 0"),
+    "HVector(())": (lambda: HVector(()), ConsistencyError, "empty h-vector"),
+    "HVector((-1,))": (
+        lambda: HVector((-1,)),
+        ConsistencyError,
+        "h_1 must be nonnegative, got -1",
+    ),
+    "root_fraction(1, 0)": (
+        lambda: root_fraction(1, 0),
+        InputError,
+        "denominator must be positive, got 0",
+    ),
+    "wedderburn(3; h=2)": (
+        lambda: wedderburn(Invariants(Partition((3,)), HVector((2,))), FieldSpec()),
+        ConsistencyError,
+        "block sizes sum to 2, expected 3",
+    ),
+    "wedderburn(2,1; h=3,0)": (
+        lambda: wedderburn(Invariants(Partition((2, 1)), HVector((3, 0))), FieldSpec()),
+        ConsistencyError,
+        "largest block multiplicity vanished for 2,1",
+    ),
+    "distinct_eigenvalue_count(1; h=0)": (
+        lambda: distinct_eigenvalue_count(Invariants(Partition((1,)), HVector((0,)))),
+        ConsistencyError,
+        "eigenvalue count must be positive, got 0 for 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,message", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_malformed_values_are_refused(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
 from .gcd_symm import is_prime
-from .partition_poly import Invariants, distinct_eigenvalue_count, invariants
+from .partition_poly import distinct_eigenvalue_count
 from .partitions import Partition
 
 
@@ -82,14 +82,14 @@ def pair_orbits(sigma: Permutation) -> OrbitDecomposition:
     return OrbitDecomposition(ids=tuple(tuple(row) for row in ids), count=count)
 
 
-def dimension(lam: Partition | Invariants) -> int:
+def dimension(lam: Partition) -> int:
     """Rank of the fixed algebra, sum of i^2 h_i over the h-vector.
 
     Over a closed field the algebra is the product of h_i copies of the
     i-by-i matrix ring, and its rank, the number of pair orbits (the
     gcd-matrix total), does not depend on the field.
     """
-    return sum(i * i * h for i, h in enumerate(invariants(lam).h.values, start=1))
+    return sum(i * i * h for i, h in enumerate(lam.h.values, start=1))
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,10 @@ def _require_semisimple(lam: Partition, field: FieldSpec) -> None:
         )
 
 
-def wedderburn(lam: Partition | Invariants, field: FieldSpec) -> WedderburnShape:
+def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
     """Block multiplicities of the fixed algebra; they are the h-vector."""
-    record = invariants(lam)
-    lam = record.partition
+    shape = WedderburnShape(multiplicities=lam.h.values)
     _require_semisimple(lam, field)
-    shape = WedderburnShape(multiplicities=record.h.values)
     if shape.n != lam.n:
         raise ConsistencyError(f"block sizes sum to {shape.n}, expected {lam.n}")
     if shape.multiplicities[-1] < 1:
@@ -165,14 +163,16 @@ def wedderburn(lam: Partition | Invariants, field: FieldSpec) -> WedderburnShape
     return shape
 
 
-def isomorphic(
-    lam: Partition | Invariants, mu: Partition | Invariants, field: FieldSpec
-) -> bool:
-    """Whether the two fixed algebras are isomorphic: equal degree and polynomial."""
-    left, right = invariants(lam), invariants(mu)
-    _require_semisimple(left.partition, field)
-    _require_semisimple(right.partition, field)
-    return left.partition.n == right.partition.n and left.polynomial == right.polynomial
+def isomorphic(lam: Partition, mu: Partition, field: FieldSpec) -> bool:
+    """Whether the two fixed algebras are isomorphic: equal degree and polynomial.
+
+    Both sides are derived before the field is checked, so a refused
+    gcd-closure is reported ahead of a characteristic that divides a part.
+    """
+    same = lam.polynomial == mu.polynomial
+    _require_semisimple(lam, field)
+    _require_semisimple(mu, field)
+    return lam.n == mu.n and same
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,19 @@ class MoritaResult:
         return self.equivalent
 
 
-def morita_equivalent(
-    lam: Partition | Invariants, mu: Partition | Invariants, field: FieldSpec
-) -> MoritaResult:
+def morita_equivalent(lam: Partition, mu: Partition, field: FieldSpec) -> MoritaResult:
     """Morita equivalence: equal numbers of simple blocks.
 
     Two semisimple algebras over an algebraically closed field are Morita
     equivalent exactly when their multiplicity-free companions coincide,
-    i.e. when they have the same number of simple factors.
+    i.e. when they have the same number of simple factors.  As in
+    :func:`isomorphic`, both sides are derived before the field is checked.
     """
-    left, right = invariants(lam), invariants(mu)
-    _require_semisimple(left.partition, field)
-    _require_semisimple(right.partition, field)
-    blocks = (distinct_eigenvalue_count(left), distinct_eigenvalue_count(right))
+    blocks = (distinct_eigenvalue_count(lam), distinct_eigenvalue_count(mu))
+    _require_semisimple(lam, field)
+    _require_semisimple(mu, field)
     # d·ε(1) = (-1)^(s-1)·(block count), the identity the README states.
-    signed = tuple(b if r.h.s % 2 else -b for b, r in zip(blocks, (left, right)))
+    signed = tuple(b if side.s % 2 else -b for b, side in zip(blocks, (lam, mu)))
     return MoritaResult(
         equivalent=blocks[0] == blocks[1], blocks=blocks, signed_values=signed
     )

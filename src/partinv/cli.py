@@ -26,8 +26,8 @@ from .classify import count_classes, self_equivalent
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
-from .partition_poly import Invariants, PartitionPolynomial, equivalent, invariants
-from .partitions import parse_partition
+from .partition_poly import PartitionPolynomial, equivalent
+from .partitions import Partition, parse_partition
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -44,12 +44,11 @@ def _polynomial_payload(eps: PartitionPolynomial) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     field = FieldSpec(characteristic=args.char)
-    record = invariants(lam)
-    g, h, eps = record.g, record.h, record.polynomial
-    dim = dimension(record)
+    h, g, eps = lam.h, lam.g, lam.polynomial
+    dim = dimension(lam)
     det = gcd_matrix_det_and_bounds(lam)
     semisimple = is_semisimple(lam, field)
-    shape = wedderburn(record, field) if semisimple else None
+    shape = wedderburn(lam, field) if semisimple else None
 
     lines = [
         f"partition: {lam}",
@@ -94,19 +93,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_payload(args: argparse.Namespace) -> tuple[Invariants, Invariants, FieldSpec]:
+def _compare_payload(args: argparse.Namespace) -> tuple[Partition, Partition, FieldSpec]:
     lam = parse_partition(args.left)
     mu = parse_partition(args.right)
     field = FieldSpec(characteristic=args.char)
-    return invariants(lam), invariants(mu), field
+    return lam, mu, field
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    left, right, field = _compare_payload(args)
-    lam, mu = left.partition, right.partition
-    equal_poly = equivalent(left, right)
-    iso = isomorphic(left, right, field)
-    morita = morita_equivalent(left, right, field)
+    lam, mu, field = _compare_payload(args)
+    equal_poly = equivalent(lam, mu)
+    iso = isomorphic(lam, mu, field)
+    morita = morita_equivalent(lam, mu, field)
 
     def yesno(flag: bool) -> str:
         return "yes" if flag else "no"
@@ -114,8 +112,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     lines = [
         f"left: {lam} (n={lam.n}, s={lam.s})",
         f"right: {mu} (n={mu.n}, s={mu.s})",
-        f"left polynomial: {left.polynomial}",
-        f"right polynomial: {right.polynomial}",
+        f"left polynomial: {lam.polynomial}",
+        f"right polynomial: {mu.polynomial}",
         f"equivalent: {yesno(equal_poly)}",
         f"isomorphic: {yesno(iso)}",
         f"morita: {yesno(morita.equivalent)}",
@@ -126,14 +124,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "left": {
             "partition": list(lam.parts),
             "n": lam.n,
-            "polynomial": _polynomial_payload(left.polynomial),
+            "polynomial": _polynomial_payload(lam.polynomial),
             "blocks": morita.blocks[0],
             "signed_value": morita.signed_values[0],
         },
         "right": {
             "partition": list(mu.parts),
             "n": mu.n,
-            "polynomial": _polynomial_payload(right.polynomial),
+            "polynomial": _polynomial_payload(mu.polynomial),
             "blocks": morita.blocks[1],
             "signed_value": morita.signed_values[1],
         },
@@ -147,18 +145,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    left, right, field = _compare_payload(args)
-    verdict = isomorphic(left, right, field)
+    lam, mu, field = _compare_payload(args)
+    verdict = isomorphic(lam, mu, field)
     text = "\n".join(
         [
-            f"left polynomial: {left.polynomial}",
-            f"right polynomial: {right.polynomial}",
+            f"left polynomial: {lam.polynomial}",
+            f"right polynomial: {mu.polynomial}",
             f"isomorphic: {'yes' if verdict else 'no'}",
         ]
     )
     payload = {
-        "left": list(left.partition.parts),
-        "right": list(right.partition.parts),
+        "left": list(lam.parts),
+        "right": list(mu.parts),
         "characteristic": field.characteristic,
         "isomorphic": verdict,
     }
@@ -167,8 +165,8 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 
 def _cmd_morita(args: argparse.Namespace) -> int:
-    left, right, field = _compare_payload(args)
-    morita = morita_equivalent(left, right, field)
+    lam, mu, field = _compare_payload(args)
+    morita = morita_equivalent(lam, mu, field)
     text = "\n".join(
         [
             f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
@@ -177,8 +175,8 @@ def _cmd_morita(args: argparse.Namespace) -> int:
         ]
     )
     payload = {
-        "left": list(left.partition.parts),
-        "right": list(right.partition.parts),
+        "left": list(lam.parts),
+        "right": list(mu.parts),
         "characteristic": field.characteristic,
         "blocks": list(morita.blocks),
         "signed_values": list(morita.signed_values),

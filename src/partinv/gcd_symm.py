@@ -33,9 +33,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .partitions import Partition
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -141,13 +144,13 @@ def _g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def g_vector(lam: Partition) -> GVector:
-    """All g_i of a partition, from the h-vector of its gcd-closure.
+    """All g_i of a partition: its ``g``, from the h-vector of its gcd-closure.
 
     Never enumerates the 2^s subsets; the oracles' sub-multiset walk
     :func:`partinv.oracles._multiset_g` must agree, and the tests pin it to
     the literal definition :func:`partinv.oracles.brute_g`.
     """
-    return GVector(_g_from_h(_closure_h(lam.parts)))
+    return lam.g
 
 
 def h_vector(g: GVector) -> HVector:

@@ -29,7 +29,7 @@ from .gcd_symm import (
     is_prime,
     power_norm,
 )
-from .partition_poly import distinct_eigenvalue_count, equivalent, invariants
+from .partition_poly import distinct_eigenvalue_count, equivalent
 from .partitions import Partition, concat, enumerate_partitions, scale
 
 
@@ -236,13 +236,12 @@ class VerificationReport:
 
 class _Sample:
     """One partition of a table, with the values that several families read:
-    its invariants, its root union, its gcd-matrix rows and their total,
-    all built when the sample is.
+    its root union, its gcd-matrix rows and their total, all built when the
+    sample is.  Its h, g and polynomial are kept by the partition itself.
     """
 
     def __init__(self, lam: Partition) -> None:
         self.lam = lam
-        self.record = invariants(lam)
         self.roots = root_union(lam)
         self.gcd_rows = gcd_matrix(lam)
         self.gcd_total = sum(map(sum, self.gcd_rows))
@@ -297,19 +296,20 @@ def check_g_vector_vs_brute(samples: list[_Sample]) -> Outcomes:
 def check_power_norm_vs_g(samples: list[_Sample]) -> Outcomes:
     """Divisor-matrix power norms against the shifted g-vector."""
     for sample in samples:
-        lam, g = sample.lam, sample.record.g
+        lam, g = sample.lam, sample.lam.g
         for i, norm in enumerate(power_norm(lam), start=1):
             yield None if norm == g[i + 1] else Failure(f"{lam} i={i}", str(g[i + 1]), str(norm))
 
 
 @_family("h-vector vs root counting")
 def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
-    """Direct root-of-unity counting against the record's (gcd-closure)
-    h-vector and its round trip through ``_g_from_h`` and ``h_vector``."""
+    """Direct root-of-unity counting against the partition's h-vector, the
+    one ``analyze`` reports, and its round trip through its g-vector and
+    ``h_vector``."""
     for sample in samples:
-        lam, record = sample.lam, sample.record
+        lam = sample.lam
         expected = eigenvalue_multiplicities(lam, sample.roots).values
-        reported, transformed = record.h.values, h_vector(record.g).values
+        reported, transformed = lam.h.values, h_vector(lam.g).values
         yield None if expected == reported == transformed else Failure(
             str(lam), str(expected), f"h={reported} from_g={transformed}"
         )
@@ -319,7 +319,7 @@ def check_h_vector_vs_roots(samples: list[_Sample]) -> Outcomes:
 def check_inclusion_exclusion(samples: list[_Sample]) -> Outcomes:
     """|union of root groups| against the eigenvalue count, sum(h_i)."""
     for sample in samples:
-        yield _compare(sample.lam, len(sample.roots), distinct_eigenvalue_count(sample.record))
+        yield _compare(sample.lam, len(sample.roots), distinct_eigenvalue_count(sample.lam))
 
 
 @_family("orbit count vs gcd sum")
@@ -344,8 +344,8 @@ def check_block_sum_rules(samples: list[_Sample]) -> Outcomes:
     """sum(i*h_i) = n, and the dimension, sum(i^2*h_i), = the gcd-matrix total."""
     for sample in samples:
         lam, total = sample.lam, sample.gcd_total
-        weighted = sum(i * v for i, v in enumerate(sample.record.h.values, start=1))
-        dim = dimension(sample.record)
+        weighted = sum(i * v for i, v in enumerate(lam.h.values, start=1))
+        dim = dimension(lam)
         yield None if (weighted, dim) == (lam.n, total) else Failure(
             str(lam), f"n={lam.n} dim={total}", f"sum_ih={weighted} sum_iih={dim}"
         )
@@ -371,17 +371,17 @@ _SCALE_FACTORS = range(2, 5)
 def check_scaling_invariance(samples: list[_Sample]) -> Outcomes:
     """g(d*lam) = d*g(lam) elementwise and identical polynomials, d = 2..4."""
     for sample in samples:
-        lam, base = sample.lam, sample.record
+        lam = sample.lam
         for d in _SCALE_FACTORS:
-            scaled = invariants(scale(d, lam))
-            want_g = tuple(d * v for v in base.g.values)
+            scaled = scale(d, lam)
+            want_g = tuple(d * v for v in lam.g.values)
             got_g = scaled.g.values
-            passed = got_g == want_g and scaled.polynomial == base.polynomial
+            passed = got_g == want_g and scaled.polynomial == lam.polynomial
             yield None if passed else Failure(f"{lam} d={d}", str(want_g), str(got_g))
 
 
 def _classes(
-    samples: list[_Sample], key: Callable[[_Sample], tuple] = lambda sample: sample.record.g.values
+    samples: list[_Sample], key: Callable[[_Sample], tuple] = lambda sample: sample.lam.g.values
 ) -> list[list[_Sample]]:
     """One table's samples grouped by ``key``, groups in ascending key order
     and members in enumeration order: by default, by the g-vector, which
@@ -390,10 +390,6 @@ def _classes(
     for sample in samples:
         groups.setdefault(key(sample), []).append(sample)
     return [groups[k] for k in sorted(groups)]
-
-
-def _appended(lam: Partition, m: int) -> Partition:
-    return concat(lam, Partition((m,)))
 
 
 @_family("append-part equivalence")
@@ -409,13 +405,15 @@ def check_append_part(samples: list[_Sample]) -> Outcomes:
     for cls in classes:
         for lam, mu in itertools.combinations([x.lam for x in cls], 2):
             for m in (1, coprime_m):
-                kept = equivalent(_appended(lam, m), _appended(mu, m))
+                kept = equivalent(Partition.of(*lam.parts, m), Partition.of(*mu.parts, m))
                 yield None if kept else Failure(
                     f"{lam} ~ {mu} m={m}", "equivalent", "inequivalent"
                 )
     representatives = [cls[0].lam for cls in classes]
     for lam, mu in itertools.combinations(representatives, 2):
-        merged = equivalent(_appended(lam, coprime_m), _appended(mu, coprime_m))
+        merged = equivalent(
+            Partition.of(*lam.parts, coprime_m), Partition.of(*mu.parts, coprime_m)
+        )
         yield Failure(
             f"{lam} !~ {mu} m={coprime_m}", "inequivalent", "equivalent"
         ) if merged else None
@@ -478,7 +476,7 @@ def check_multiset_sufficiency(samples: list[_Sample]) -> Outcomes:
     """Equal off-diagonal gcd multisets force equivalence."""
     for group in _classes(samples, _upper_gcds):
         for a, b in itertools.combinations(group, 2):
-            yield None if equivalent(a.record, b.record) else Failure(
+            yield None if equivalent(a.lam, b.lam) else Failure(
                 f"{a.lam} vs {b.lam}", "equivalent", "inequivalent"
             )
 
@@ -489,8 +487,9 @@ def _sweep(
     """Run each ``(family, bound)`` of ``plan`` on every partition with n <= bound.
 
     Each table P(s, n) up to the largest bound is enumerated once, and each
-    of its partitions is sampled once: its invariants, root union and
-    gcd-matrix rows.  Every family whose bound reaches n then checks the
+    of its partitions is sampled once: its root union and gcd-matrix rows
+    (its h, g and polynomial are derived by the partition on first read and
+    kept there).  Every family whose bound reaches n then checks the
     table's samples (the pair families take their pairs from the samples
     too), and its results are added up over the tables, starting from no
     instances, so no family is run on an empty table.  Only one table's
@@ -517,10 +516,12 @@ def verify_all(n_max: int) -> VerificationReport:
 
     ``n_max`` above ``MAX_VERIFY_N`` is refused with
     :class:`BoundExceededError`, and a negative one with :class:`InputError`,
-    before any work.  Each table P(s, n) is enumerated once and each
-    partition's invariants, root union and gcd-matrix rows are built once,
-    with its sample, and shared by all twelve families (the g family also checks its
-    sub-multiset oracle against :func:`brute_g` for n <= 12).  The
+    before any work.  Each table P(s, n) is enumerated once; each
+    partition's root union and gcd-matrix rows are built once, with its
+    sample, and its h, g and polynomial once, on first read, and all are
+    shared by the twelve families.  So the g and h families check the very
+    vectors ``analyze`` reports (the g family also checks its sub-multiset
+    oracle against :func:`brute_g` for n <= 12).  The
     permutation families (orbit walking, commutation-system nullity) stop
     at n = 12, and the three pair families, whose instance counts grow
     quadratically, at 12, 10 and 14.  Family order is fixed, so reports are

@@ -5,21 +5,21 @@ coefficients are the normalized gcd-symmetric values g_{i+1}/g_s with
 alternating signs.  Two partitions are equivalent when the polynomials
 coincide; within a fixed (s, n) this is the same as having equal g-vectors.
 
-:class:`Invariants` holds a partition's h-vector, derived from its
-gcd-closure; the g-vector and the polynomial are derived from h on first
-read and kept.  Every function here and in :mod:`partinv.algebra` that needs
-them takes either a partition or that record, so a caller that asks several
-questions about one partition builds the record once and passes it.
+A partition derives its polynomial once, on first read of
+:attr:`Partition.polynomial`, from its g-vector; the functions here read it
+there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
-from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
-from .partitions import Partition
+from .gcd_symm import GVector
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -68,39 +68,16 @@ def _polynomial(g: GVector) -> PartitionPolynomial:
     return PartitionPolynomial(tuple(coefficients))
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """One partition's h-vector; g and the polynomial are derived from it on first read."""
-
-    partition: Partition
-    h: HVector
-
-    @cached_property
-    def g(self) -> GVector:
-        return GVector(_g_from_h(self.h.values))
-
-    @cached_property
-    def polynomial(self) -> PartitionPolynomial:
-        return _polynomial(self.g)
-
-
-def invariants(lam: Partition | Invariants) -> Invariants:
-    """The record of ``lam``, derived from its gcd-closure; a record is returned as is."""
-    if isinstance(lam, Invariants):
-        return lam
-    return Invariants(partition=lam, h=HVector(_closure_h(lam.parts)))
-
-
-def epsilon(lam: Partition | Invariants) -> PartitionPolynomial:
+def epsilon(lam: Partition) -> PartitionPolynomial:
     """The partition's polynomial: coefficient of x^i is (-1)^(s-1-i) g_{i+1}/g_s.
 
     g_s divides every g_i, so the coefficients are exact integers; a
     g-vector for which that fails is refused when it is built.
     """
-    return invariants(lam).polynomial
+    return lam.polynomial
 
 
-def equivalent(lam: Partition | Invariants, mu: Partition | Invariants) -> bool:
+def equivalent(lam: Partition, mu: Partition) -> bool:
     """Whether the two partitions have identical polynomials.
 
     Defined for any pair; distinct part counts give distinct degrees and thus
@@ -110,7 +87,7 @@ def equivalent(lam: Partition | Invariants, mu: Partition | Invariants) -> bool:
     return epsilon(lam) == epsilon(mu)
 
 
-def distinct_eigenvalue_count(lam: Partition | Invariants) -> int:
+def distinct_eigenvalue_count(lam: Partition) -> int:
     """Number of distinct roots of unity among all parts' root groups.
 
     Computed as sum(h_i), which is also the number of simple blocks of the
@@ -118,10 +95,7 @@ def distinct_eigenvalue_count(lam: Partition | Invariants) -> int:
     (-1)^(s-1) * g_s * value-at-1 of the polynomial and the literal size of
     the union of the root-of-unity sets (checked by the oracle suite).
     """
-    record = invariants(lam)
-    value = sum(record.h.values)
+    value = sum(lam.h.values)
     if value <= 0:
-        raise ConsistencyError(
-            f"eigenvalue count must be positive, got {value} for {record.partition}"
-        )
+        raise ConsistencyError(f"eigenvalue count must be positive, got {value} for {lam}")
     return value

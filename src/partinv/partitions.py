@@ -1,16 +1,21 @@
 """Integer partitions: representation, parsing, enumeration, counting, surgery.
 
 A partition of n is a weakly decreasing tuple of positive integers summing
-to n.  Everything here is a pure function on immutable values.
+to n.  Everything here is a pure function on immutable values.  A partition
+derives its h-vector, g-vector and polynomial on first read and keeps them;
+they are not fields, so equality, hash, order and repr read the parts alone.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
+from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
+from .partition_poly import PartitionPolynomial, _polynomial
 
 
 @dataclass(frozen=True, order=True)
@@ -19,7 +24,9 @@ class Partition:
 
     ``n`` is the sum of the parts and ``s`` the number of parts.  Ordering
     compares part tuples lexicographically, so ``sorted(..., reverse=True)``
-    gives descending lexicographic order.
+    gives descending lexicographic order.  ``h`` is derived from the
+    gcd-closure of the parts (its only derivation), ``g`` from ``h`` and
+    ``polynomial`` from ``g``, each on first read, and kept.
     """
 
     parts: tuple[int, ...]
@@ -48,6 +55,18 @@ class Partition:
     def s(self) -> int:
         return len(self.parts)
 
+    @cached_property
+    def h(self) -> HVector:
+        return HVector(_closure_h(self.parts))
+
+    @cached_property
+    def g(self) -> GVector:
+        return GVector(_g_from_h(self.h.values))
+
+    @cached_property
+    def polynomial(self) -> PartitionPolynomial:
+        return _polynomial(self.g)
+
     def __iter__(self):
         return iter(self.parts)
 
@@ -74,7 +93,7 @@ def parse_partition(text: str) -> Partition:
         if value < 1:
             raise InputError(f"part must be positive: {token!r}")
         values.append(value)
-    return Partition(tuple(sorted(values, reverse=True)))
+    return Partition.of(*values)
 
 
 def _descending(n: int, s: int) -> Iterator[tuple[int, ...]]:
@@ -137,7 +156,7 @@ def count_partitions(s: int, n: int) -> int:
 
 def concat(lam: Partition, mu: Partition) -> Partition:
     """Merge the part multisets of two partitions and re-sort."""
-    return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
+    return Partition.of(*lam.parts, *mu.parts)
 
 
 def scale(d: int, lam: Partition) -> Partition:

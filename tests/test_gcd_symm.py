@@ -19,7 +19,6 @@ from partinv import (
     gcd_matrix,
     gcd_matrix_det_and_bounds,
     h_vector,
-    invariants,
     is_prime,
     power_norm,
     scale,
@@ -57,6 +56,15 @@ class TestGVector:
             g[0]
         with pytest.raises(IndexError):
             g[4]
+
+    def test_iteration_walks_the_values(self):
+        # __iter__ must stay: without it Python iterates through the 1-based
+        # __getitem__ from index 0, which raises IndexError at once, so
+        # list(g) would silently be [].
+        g = g_vector(Partition((8, 2, 1)))
+        h = h_vector(g)
+        assert tuple(g) == g.values == (11, 4, 1)
+        assert tuple(h) == h.values == (6, 1, 1)
 
     def test_agrees_with_subset_enumeration(self):
         for lam in all_partitions(15):
@@ -149,19 +157,21 @@ class TestClosureBudget:
             sum(math.prod(p - 1 for p in d) for d in itertools.combinations(primes, 12 - i))
             for i in range(1, 13)
         )
-        assert invariants(lam).h.values == want
+        assert lam.h.values == want
         assert h_vector(g_vector(lam)).values == want
 
     def test_refuses_the_first_element_past_the_budget(self):
         # 43 and 47 are prime to every quotient and add one element each: the
         # closure has 4096 elements with 47 and 4097 once 43 is merged.
         quotients = prime_quotients(12).parts
-        assert len(invariants(Partition((*quotients, 47))).h) == 13
+        assert len(Partition((*quotients, 47)).h) == 13
         with pytest.raises(BoundExceededError) as refused:
-            invariants(Partition((*quotients, 47, 43)))
+            Partition((*quotients, 47, 43)).h
         assert str(refused.value) == "the gcd-closure has more than 4096 elements"
 
-    @pytest.mark.parametrize("derive", [invariants, g_vector])
+    @pytest.mark.parametrize(
+        "derive", [lambda lam: lam.h, g_vector], ids=["invariants", "g_vector"]
+    )
     def test_refuses_just_above_the_budget(self, derive):
         lam = prime_quotients(13)
         start = time.perf_counter()

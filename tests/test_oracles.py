@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import itertools
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from partinv import (
     BoundExceededError,
-    HVector,
     InputError,
     Partition,
     Permutation,
@@ -31,6 +29,7 @@ from partinv import (
     verify_all,
 )
 import partinv.oracles
+import partinv.partitions
 from partinv.gcd_symm import DetBounds, _closure_h
 from partinv.oracles import (
     Failure,
@@ -289,9 +288,9 @@ class TestVerifyAll:
     def test_dimension_fault_is_reported_above_n_12(self, monkeypatch):
         real = partinv.oracles.dimension
 
-        def off_by_one_on_7_6(record):
-            value = real(record)
-            return value + 1 if record.partition == Partition((7, 6)) else value
+        def off_by_one_on_7_6(lam):
+            value = real(lam)
+            return value + 1 if lam == Partition((7, 6)) else value
 
         monkeypatch.setattr(partinv.oracles, "dimension", off_by_one_on_7_6)
         failing = [f for f in verify_all(13).families if not f.passed]
@@ -300,11 +299,11 @@ class TestVerifyAll:
 
     def test_each_partition_is_enumerated_and_derived_once(self, monkeypatch):
         n_max = 8
-        spied = ("enumerate_partitions", "invariants", "root_union", "gcd_matrix")
-        calls = {name: Counter() for name in spied}
+        spied = ("enumerate_partitions", "root_union", "gcd_matrix")
+        calls = {name: Counter() for name in (*spied, "_closure_h")}
 
-        def spy(name):
-            real = getattr(partinv.oracles, name)
+        def spy(module, name):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name][args] += 1
@@ -312,15 +311,20 @@ class TestVerifyAll:
 
             return counted
 
-        for name in calls:
-            monkeypatch.setattr(partinv.oracles, name, spy(name))
+        for name in spied:
+            monkeypatch.setattr(partinv.oracles, name, spy(partinv.oracles, name))
+        # A partition derives its h-vector, the root of its g and polynomial,
+        # from its gcd-closure.
+        closure_spy = spy(partinv.partitions, "_closure_h")
+        monkeypatch.setattr(partinv.partitions, "_closure_h", closure_spy)
 
         def no_second_walk(s, n):
             raise AssertionError(f"P({s},{n}) grouped outside the sweep")
 
         # The pair families take their classes from the sweep's samples.
         monkeypatch.setattr(importlib.import_module("partinv.classify"), "_groups", no_second_walk)
-        assert verify_all(n_max).passed
+        report = verify_all(n_max)
+        assert report.passed
 
         tables = Counter((s, n) for n in range(1, n_max + 1) for s in range(1, n + 1))
         assert calls["enumerate_partitions"] == tables
@@ -329,9 +333,16 @@ class TestVerifyAll:
         # One gcd matrix per partition serves the gcd total and the
         # multiset-sufficiency key.
         assert calls["gcd_matrix"] == once
-        # Scaling invariance derives the invariants of each scaled partition.
-        scaled = Counter((scale(d, lam),) for (lam,) in once for d in range(2, 5))
-        assert calls["invariants"] == once + scaled
+        # Each sample is derived once, and so is each of its three scalings;
+        # each instance of the two pair families that build partitions (the
+        # appended and the concatenated pairs) derives its two sides.
+        derived = calls["_closure_h"]
+        scaled = Counter((scale(d, lam).parts,) for (lam,) in once for d in range(2, 5))
+        assert not Counter((lam.parts,) for (lam,) in once) + scaled - derived
+        built = ("append-part equivalence", "concatenation of equivalent pairs")
+        pairs = sum(f.instances for f in report.families if f.family in built)
+        assert (len(once), pairs) == (66, 52 + 24)
+        assert sum(derived.values()) == 4 * len(once) + 2 * pairs == 416
 
     @pytest.mark.parametrize(
         "verdict,failing",
@@ -387,21 +398,32 @@ class TestVerifyAll:
         assert called == (set(names) if n_max else set())
 
     def test_reported_h_vector_is_checked(self, monkeypatch):
-        real = partinv.oracles.invariants
+        real = partinv.partitions._closure_h
 
-        def perturbed_h_on_4_2(lam):
-            record = real(lam)
-            if lam != Partition((4, 2)):
-                return record
-            # Shifting h_1 by g_s keeps the derived g a valid g-vector: (6,2) -> (8,2).
-            h = HVector((record.h[1] + record.g[record.g.s], record.h[2]))
-            return dataclasses.replace(record, h=h)
+        def perturbed_h_on_4_2(parts):
+            # 4,2 has h = (2, 2); shifting h_1 by g_s = 2 keeps the derived g a
+            # valid g-vector: (6, 2) -> (8, 2).
+            return (4, 2) if parts == (4, 2) else real(parts)
 
-        monkeypatch.setattr(partinv.oracles, "invariants", perturbed_h_on_4_2)
+        monkeypatch.setattr(partinv.partitions, "_closure_h", perturbed_h_on_4_2)
         failing = [f for f in verify_all(6).families if not f.passed]
         assert "h-vector vs root counting" in [f.family for f in failing]
         family = next(f for f in failing if f.family == "h-vector vs root counting")
         assert [f.input for f in family.failures] == ["4,2"]
+
+    def test_reported_g_vector_is_checked(self, monkeypatch):
+        # The g family checks the g a partition reports, the one `analyze`
+        # prints, not a second derivation of it.
+        real = partinv.partitions._g_from_h
+
+        def perturbed_g_on_h_2_2(h):
+            return (8, 2) if h == (2, 2) else real(h)
+
+        monkeypatch.setattr(partinv.partitions, "_g_from_h", perturbed_g_on_h_2_2)
+        failing = [f for f in verify_all(6).families if not f.passed]
+        assert "g-vector vs subset enumeration" in [f.family for f in failing]
+        family = next(f for f in failing if f.family == "g-vector vs subset enumeration")
+        assert family.failures == (Failure("4,2", "(6, 2)", "(8, 2)"),)
 
     def test_json_round_trip(self):
         report = verify_all(4)

@@ -14,7 +14,6 @@ from partinv import (
     GVector,
     HVector,
     InputError,
-    Invariants,
     Partition,
     Permutation,
     distinct_eigenvalue_count,
@@ -76,6 +75,14 @@ def test_integer_arguments_are_exactly_int(call, value):
         call(value)
 
 
+def _with_h(parts: tuple[int, ...], h: tuple[int, ...]) -> Partition:
+    """A partition whose kept h-vector is ``h``, as if its derivation had
+    gone wrong: the readers of h must refuse it."""
+    lam = Partition(parts)
+    lam.__dict__["h"] = HVector(h)
+    return lam
+
+
 # Refusals of malformed values that no command line can reach: each names
 # what is wrong.
 _REFUSALS = {
@@ -98,17 +105,17 @@ _REFUSALS = {
         "denominator must be positive, got 0",
     ),
     "wedderburn(3; h=2)": (
-        lambda: wedderburn(Invariants(Partition((3,)), HVector((2,))), FieldSpec()),
+        lambda: wedderburn(_with_h((3,), (2,)), FieldSpec()),
         ConsistencyError,
         "block sizes sum to 2, expected 3",
     ),
     "wedderburn(2,1; h=3,0)": (
-        lambda: wedderburn(Invariants(Partition((2, 1)), HVector((3, 0))), FieldSpec()),
+        lambda: wedderburn(_with_h((2, 1), (3, 0)), FieldSpec()),
         ConsistencyError,
         "largest block multiplicity vanished for 2,1",
     ),
     "distinct_eigenvalue_count(1; h=0)": (
-        lambda: distinct_eigenvalue_count(Invariants(Partition((1,)), HVector((0,)))),
+        lambda: distinct_eigenvalue_count(_with_h((1,), (0,))),
         ConsistencyError,
         "eigenvalue count must be positive, got 0 for 1",
     ),

@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-import partinv.partition_poly
+import partinv.partitions
 from partinv import (
     FieldSpec,
-    Invariants,
     Partition,
     PartitionPolynomial,
     dimension,
@@ -15,7 +14,6 @@ from partinv import (
     equivalent,
     g_vector,
     h_vector,
-    invariants,
     morita_equivalent,
     root_union,
     scale,
@@ -84,6 +82,15 @@ class TestRendering:
     def test_text(self, parts, text):
         assert str(epsilon(Partition(parts))) == text
 
+    # No partition polynomial has a zero coefficient, so these are built by
+    # hand: a zero term is left out, and a zero polynomial reads 0.
+    @pytest.mark.parametrize(
+        "coefficients,text",
+        [((1, 0, 1), "x^2 + 1"), ((0, -1, 0, 1), "x^3 - x"), ((5, 0), "5"), ((0, 0), "0")],
+    )
+    def test_zero_coefficients_are_left_out(self, coefficients, text):
+        assert str(PartitionPolynomial(coefficients)) == text
+
 
 class TestEvaluation:
     def test_at_one(self):
@@ -146,26 +153,31 @@ class TestEquivalence:
 
 
 class TestInvariantsRecord:
+    # A partition keeps its own h, g and polynomial: derived on first read,
+    # never fields, so they take no part in equality, hash, order or repr.
+
     def test_closure_h_is_the_inclusion_exclusion_of_g(self):
         for lam in all_partitions(18):
-            record = invariants(lam)
-            assert record.partition == lam
-            assert record.g == g_vector(lam)
-            assert record.h == h_vector(record.g)
-            assert record.polynomial == epsilon(lam)
-            assert invariants(record) is record
+            assert lam.g is g_vector(lam)
+            assert lam.h == h_vector(lam.g)
+            assert lam.polynomial is epsilon(lam)
 
     def test_the_record_stores_h_and_derives_the_rest_once(self):
-        assert [f.name for f in dataclasses.fields(Invariants)] == ["partition", "h"]
-        record = invariants(Partition((8, 2, 1)))
-        assert record.g is record.g
-        assert record.polynomial is record.polynomial
+        assert [f.name for f in dataclasses.fields(Partition)] == ["parts"]
+        lam = Partition((8, 2, 1))
+        assert lam.h is lam.h
+        assert lam.g is lam.g
+        assert lam.polynomial is lam.polynomial
+        fresh = Partition((8, 2, 1))
+        assert fresh == lam and hash(fresh) == hash(lam)
+        assert not fresh < lam and not lam < fresh
+        assert repr(lam) == repr(fresh) == "Partition(parts=(8, 2, 1))"
 
     def test_h_only_readers_build_no_g(self, monkeypatch, capsys):
         def unbuilt(h):
             raise AssertionError(f"g derived from h={h}")
 
-        monkeypatch.setattr(partinv.partition_poly, "_g_from_h", unbuilt)
+        monkeypatch.setattr(partinv.partitions, "_g_from_h", unbuilt)
         lam, field = Partition((4, 1)), FieldSpec()
         assert dimension(lam) == 7
         assert wedderburn(lam, field).describe() == "R^3 x M_2(R)"

@@ -7,9 +7,10 @@ g-vector is a bijective transform of the h-vector, so grouping is an
 order-independent reduction keyed by the h-vector of each partition's
 gcd-closure; each class's h is mapped to its g-key once, and a final
 deterministic sort by g-key makes any evaluation order produce identical
-output.  Every table command builds only what it reports: ``classify`` a
-:class:`Partition` per member and a g-key per class, ``self_equivalent`` a
-:class:`Partition` per singleton, and ``count_classes`` neither.
+output.  Every table command is one guarded walk of P(s, n) that keeps only
+what it reports: ``classify`` each partition's parts and class id, in walk
+order, and one g-key per class; ``self_equivalent`` each class's first parts
+and its size; and ``count_classes`` the class sizes alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _g_from_h
@@ -46,28 +48,39 @@ class EquivalenceClass:
 class EquivalenceClasses:
     """The full classification of P(s, n).
 
-    Classes are sorted by key (ascending lexicographic); members keep the
-    descending-lexicographic enumeration order.
+    ``keys`` are the class keys in ascending lexicographic order.  ``parts``
+    lists P(s, n) in enumeration order (descending lexicographic), and
+    ``class_ids`` gives the index in ``keys`` of each one's class.
+    ``classes`` groups them, members in enumeration order, on first read.
     """
 
     s: int
     n: int
-    classes: tuple[EquivalenceClass, ...]
+    keys: tuple[tuple[int, ...], ...]
+    parts: tuple[tuple[int, ...], ...]
+    class_ids: tuple[int, ...]
+
+    @cached_property
+    def classes(self) -> tuple[EquivalenceClass, ...]:
+        members: list[list[Partition]] = [[] for _ in self.keys]
+        for parts, idx in zip(self.parts, self.class_ids):
+            members[idx].append(Partition(parts))
+        return tuple(EquivalenceClass(key, tuple(m)) for key, m in zip(self.keys, members))
 
     @property
     def p(self) -> int:
         """Number of partitions classified."""
-        return sum(c.size for c in self.classes)
+        return len(self.parts)
 
     @property
     def i(self) -> int:
         """Number of classes."""
-        return len(self.classes)
+        return len(self.keys)
 
     @property
     def e(self) -> dict[int, int]:
         """Histogram: class size -> number of classes of that size."""
-        return _histogram(c.size for c in self.classes)
+        return _histogram(Counter(self.class_ids).values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,19 +100,17 @@ class EquivalenceClasses:
     def to_csv(self) -> str:
         """One row per partition: parts, g-vector, 0-based class id.
 
-        Rows follow the enumeration order (descending lexicographic), so the
-        members of all classes are merged back into it.
+        Rows follow the enumeration order (descending lexicographic), in
+        which the walk recorded them.
         """
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["parts", "g_vector", "class_id"])
-        keys = [",".join(str(v) for v in c.key) for c in self.classes]
-        rows = sorted(
-            ((lam, idx) for idx, c in enumerate(self.classes) for lam in c.members),
-            key=lambda row: row[0].parts,
-            reverse=True,
+        keys = [",".join(map(str, key)) for key in self.keys]
+        writer.writerows(
+            [",".join(map(str, parts)), keys[idx], idx]
+            for parts, idx in zip(self.parts, self.class_ids)
         )
-        writer.writerows([str(lam), keys[idx], idx] for lam, idx in rows)
         return out.getvalue()
 
 
@@ -119,11 +130,12 @@ def _size_lower_bound(s: int, excess: int) -> int:
     return ((excess + 3) ** 2 + 6) // 12
 
 
-def _groups(s: int, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """P(s, n) grouped by h-vector: h -> the part tuples, in enumeration order.
+def _walk(s: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """P(s, n) in enumeration order: each part tuple with its h-vector.
 
     Every table command goes through here, so all of them are refused as
-    :func:`classify` documents.
+    :func:`classify` documents, and a walk that does not yield exactly the
+    counted partitions ends in :class:`ConsistencyError`.
     """
     if type(s) is not int or type(n) is not int or s < 1 or n < s:
         raise InputError(f"need s >= 1 and n >= s, got s={s}, n={n}")
@@ -142,15 +154,14 @@ def _groups(s: int, n: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
         raise BoundExceededError(
             f"P({s},{n}) holds {s * expected} parts, above the limit {MAX_TABLE_CELLS}"
         )
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    classified = 0
     for parts in _descending(n, s):
-        groups.setdefault(_closure_h(parts), []).append(parts)
-    classified = sum(map(len, groups.values()))
+        classified += 1
+        yield parts, _closure_h(parts)
     if classified != expected:
         raise ConsistencyError(
             f"classified {classified} partitions of P({s},{n}), expected {expected}"
         )
-    return groups
 
 
 def classify(s: int, n: int) -> EquivalenceClasses:
@@ -161,12 +172,23 @@ def classify(s: int, n: int) -> EquivalenceClasses:
     :class:`BoundExceededError`; the first two checks run before any
     counting.  P(s, n) is counted once, and the enumeration must match it.
     """
-    classes = sorted(
-        (EquivalenceClass(key=_g_from_h(h), members=tuple(map(Partition, members)))
-         for h, members in _groups(s, n).items()),
-        key=lambda c: c.key,
+    found: dict[tuple[int, ...], int] = {}  # h -> index, in order of first member
+    walked: list[tuple[int, ...]] = []
+    found_ids: list[int] = []
+    for parts, h in _walk(s, n):
+        walked.append(parts)
+        found_ids.append(found.setdefault(h, len(found)))
+    found_keys = list(map(_g_from_h, found))
+    keys = sorted(found_keys)
+    class_id = {key: idx for idx, key in enumerate(keys)}
+    renumbered = [class_id[key] for key in found_keys]
+    return EquivalenceClasses(
+        s=s,
+        n=n,
+        keys=tuple(keys),
+        parts=tuple(walked),
+        class_ids=tuple(map(renumbered.__getitem__, found_ids)),
     )
-    return EquivalenceClasses(s=s, n=n, classes=tuple(classes))
 
 
 def count_classes(s: int, n: int) -> tuple[int, int, dict[int, int]]:
@@ -175,7 +197,7 @@ def count_classes(s: int, n: int) -> tuple[int, int, dict[int, int]]:
 
     Refused as :func:`classify` is.
     """
-    sizes = [len(members) for members in _groups(s, n).values()]
+    sizes = Counter(h for _, h in _walk(s, n)).values()
     return sum(sizes), len(sizes), _histogram(sizes)
 
 
@@ -184,5 +206,11 @@ def self_equivalent(s: int, n: int) -> list[Partition]:
 
     Refused as :func:`classify` is.
     """
-    # A class's first member comes in enumeration order, so the singletons do.
-    return [Partition(members[0]) for members in _groups(s, n).values() if len(members) == 1]
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    sizes: Counter[tuple[int, ...]] = Counter()
+    for parts, h in _walk(s, n):
+        first.setdefault(h, parts)
+        sizes[h] += 1
+    # Classes are met in the order of their first members, so the singletons
+    # come in enumeration order.
+    return [Partition(first[h]) for h, size in sizes.items() if size == 1]

@@ -97,28 +97,40 @@ def parse_partition(text: str) -> Partition:
 
 
 def _descending(n: int, s: int) -> Iterator[tuple[int, ...]]:
-    # Walks the parts in place: fill every position from i on with its
-    # largest feasible part (at most the previous part, leaving at least 1 for
-    # each later one), emit, then lower the rightmost part that can still go
-    # down (it must stay at least the average of what is left there).
+    # Walks the parts in place: emit, lower the rightmost part that can still
+    # go down, and refill every position after it with its largest feasible
+    # part.  A part a at position i can go down when the k = last - i parts
+    # after it hold less than (a - 1) * k, so a 2 never can (they hold at
+    # least k) and the scan starts left of the trailing ones.  Lowered to v,
+    # it leaves those k positions an excess of e over k ones, and the greedy
+    # refill is q parts v, one part 1 + r and then ones, (q, r) = divmod(e,
+    # v - 1).  The commonest move, with no trailing ones, refills the last
+    # part alone (with s = 1, parts[last - 1] is that part, and it is not
+    # taken).
     if s > n:
         return
-    parts = [0] * s
-    rest = [n] + [0] * s  # rest[j]: total left for positions j..s-1
-    i = 0
+    last = s - 1
+    parts = [n - last] + [1] * last
+    ones = last  # trailing ones after position 0
     while True:
-        for j in range(i, s):
-            parts[j] = min(parts[j - 1] if j else n, rest[j] - (s - j) + 1)
-            rest[j + 1] = rest[j] - parts[j]
         yield tuple(parts)
-        i = s - 1
-        while i >= 0 and (parts[i] - 1) * (s - i) < rest[i]:
+        if ones == 0 and parts[last - 1] - parts[last] >= 2:
+            parts[last - 1] -= 1
+            parts[last] += 1
+            continue
+        i = last - ones
+        after = ones  # total of the parts after position i
+        while i >= 0 and after >= (parts[i] - 1) * (last - i):
+            after += parts[i]
             i -= 1
         if i < 0:
             return
-        parts[i] -= 1
-        rest[i + 1] += 1
-        i += 1
+        v = parts[i] = parts[i] - 1
+        k = last - i
+        q, r = divmod(after + 1 - k, v - 1)
+        # q == k leaves no room for the 1 + r part, and then r == 0.
+        parts[i + 1 :] = [v] * q + [1 + r] * (q < k) + [1] * (k - q - 1)
+        ones = k - q - (r > 0)
 
 
 def enumerate_partitions(s: int, n: int) -> Iterator[Partition]:

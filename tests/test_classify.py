@@ -1,9 +1,13 @@
+import csv
+import importlib
+import io
 import json
 
 import pytest
 
 from partinv import (
     BoundExceededError,
+    ConsistencyError,
     InputError,
     Partition,
     classify,
@@ -16,6 +20,9 @@ from partinv import (
     self_equivalent,
 )
 from partinv.classify import MAX_TABLE_CELLS
+
+# The package re-exports the function under the module's name.
+classify_module = importlib.import_module("partinv.classify")
 
 
 class TestClassify:
@@ -141,6 +148,40 @@ class TestClassify:
                     scale(2, m) for c in original.classes for m in c.members
                 )
                 assert evens == images
+
+
+class TestWalk:
+    @pytest.mark.parametrize("table", [classify, count_classes, self_equivalent])
+    def test_a_dropped_partition_is_a_consistency_error(self, monkeypatch, table):
+        real = classify_module._descending
+
+        def dropping(n, s):
+            walk = real(n, s)
+            next(walk)
+            return walk
+
+        monkeypatch.setattr(classify_module, "_descending", dropping)
+        message = r"^classified 9 partitions of P\(3,11\), expected 10$"
+        with pytest.raises(ConsistencyError, match=message):
+            table(3, 11)
+
+    def test_csv_builds_no_partition(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("to_csv built a Partition")
+
+        monkeypatch.setattr(classify_module, "Partition", unbuilt)
+        for n in range(1, 21):
+            for s in range(1, n + 1):
+                text = classify(s, n).to_csv()
+                pool = list(enumerate_partitions(s, n))
+                keys = sorted({lam.g.values for lam in pool})
+                expected = [
+                    [str(lam), ",".join(map(str, lam.g.values)), str(keys.index(lam.g.values))]
+                    for lam in pool
+                ]
+                assert list(csv.reader(io.StringIO(text))) == [
+                    ["parts", "g_vector", "class_id"], *expected
+                ]
 
 
 class TestSelfEquivalent:

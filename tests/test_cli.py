@@ -418,6 +418,20 @@ class TestTableBounds:
         assert (code, out) == (4, "")
         assert err == "refused: P(1,6000001) has s*n above the limit 6000000\n"
 
+    @pytest.mark.parametrize("command", ["count", "self-equivalent", "classify"])
+    @pytest.mark.parametrize(
+        "s,n,code,err",
+        [
+            ("0", "5", 2, "error: need s >= 1 and n >= s, got s=0, n=5\n"),
+            ("2", "400002", 4, "refused: P(2,400002) has more than 200000 partitions, the limit\n"),
+            ("1", "6000001", 4, "refused: P(1,6000001) has s*n above the limit 6000000\n"),
+            ("28", "80", 4, "refused: P(28,80) has 275826 partitions, above the limit 200000\n"),
+            ("40", "89", 4, "refused: P(40,89) holds 6938320 parts, above the limit 6000000\n"),
+        ],
+    )
+    def test_each_refusal_keeps_its_message(self, capsys, command, s, n, code, err):
+        assert run(capsys, command, s, n) == (code, "", err)
+
     def test_size_lower_bound(self):
         for n in range(1, 41):
             for s in range(1, n + 1):

@@ -322,7 +322,7 @@ class TestVerifyAll:
             raise AssertionError(f"P({s},{n}) grouped outside the sweep")
 
         # The pair families take their classes from the sweep's samples.
-        monkeypatch.setattr(importlib.import_module("partinv.classify"), "_groups", no_second_walk)
+        monkeypatch.setattr(importlib.import_module("partinv.classify"), "_walk", no_second_walk)
         report = verify_all(n_max)
         assert report.passed
 

@@ -11,7 +11,7 @@ from partinv import (
     parse_partition,
     scale,
 )
-from util import all_partitions, conjugate
+from util import all_partitions, conjugate, exact_partitions
 
 partitions_strategy = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=10
@@ -112,6 +112,15 @@ class TestEnumerate:
         emitted = list(enumerate_partitions(2000, 2003))
         assert [lam.parts[:3] for lam in emitted] == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
         assert all(lam.parts[3:] == (1,) * 1997 for lam in emitted)
+
+    def test_equals_the_recursive_reference(self):
+        # Every shape of the walk's refill: a lowered part refilled with
+        # copies of itself only, a zero or non-zero remainder, trailing ones,
+        # the last part alone, s = 1, s = n and s > n.
+        shapes = [(s, n) for n in range(1, 41) for s in range(1, n + 2)] + [(16, 48)]
+        for s, n in shapes:
+            emitted = [lam.parts for lam in enumerate_partitions(s, n)]
+            assert emitted == sorted(exact_partitions(n, s), reverse=True), (s, n)
 
     def test_completeness_against_count(self):
         for n in range(1, 21):

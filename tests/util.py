@@ -16,6 +16,28 @@ def all_partitions(n_max: int) -> Iterator[Partition]:
             yield from enumerate_partitions(s, n)
 
 
+def exact_partitions(n: int, s: int) -> list[tuple[int, ...]]:
+    """Independent reference: the partitions of n into exactly s parts, by
+    plain recursion on the next part, in no promised order."""
+    found: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def place(left: int, slots: int, largest: int) -> None:
+        if slots == 0:
+            if left == 0:
+                found.append(tuple(prefix))
+            return
+        if left < slots or left > slots * largest:
+            return
+        for part in range(1, min(left, largest) + 1):
+            prefix.append(part)
+            place(left - part, slots - 1, part)
+            prefix.pop()
+
+    place(n, s, n)
+    return found
+
+
 def subset_gcd_sum(parts: tuple[int, ...], size: int) -> int:
     """Independent re-derivation: gcd summed over all index subsets."""
     total = 0

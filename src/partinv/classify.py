@@ -10,17 +10,18 @@ deterministic sort by g-key makes any evaluation order produce identical
 output.  Every table command is one guarded walk of P(s, n) that keeps only
 what it reports: ``classify`` each partition's parts and class id, in walk
 order, and one g-key per class; ``self_equivalent`` each class's first parts
-and its size; and ``count_classes`` the class sizes alone.
+and its size; and ``count_classes`` the class sizes alone.  A classification
+is written straight from those part tuples, a CSV row or a JSON class at a
+time, in the one format asked for.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _g_from_h
@@ -52,6 +53,8 @@ class EquivalenceClasses:
     lists P(s, n) in enumeration order (descending lexicographic), and
     ``class_ids`` gives the index in ``keys`` of each one's class.
     ``classes`` groups them, members in enumeration order, on first read.
+    ``to_csv`` and ``to_json`` write the table to a stream from the part
+    tuples, a row or a class at a time, and build no :class:`Partition`.
     """
 
     s: int
@@ -62,10 +65,17 @@ class EquivalenceClasses:
 
     @cached_property
     def classes(self) -> tuple[EquivalenceClass, ...]:
-        members: list[list[Partition]] = [[] for _ in self.keys]
+        return tuple(
+            EquivalenceClass(key, tuple(map(Partition, members)))
+            for key, members in zip(self.keys, self.member_parts())
+        )
+
+    def member_parts(self) -> list[list[tuple[int, ...]]]:
+        """Each class's member part tuples, in enumeration order, by class id."""
+        members: list[list[tuple[int, ...]]] = [[] for _ in self.keys]
         for parts, idx in zip(self.parts, self.class_ids):
-            members[idx].append(Partition(parts))
-        return tuple(EquivalenceClass(key, tuple(m)) for key, m in zip(self.keys, members))
+            members[idx].append(parts)
+        return members
 
     @property
     def p(self) -> int:
@@ -77,41 +87,57 @@ class EquivalenceClasses:
         """Number of classes."""
         return len(self.keys)
 
-    @property
+    @cached_property
     def e(self) -> dict[int, int]:
         """Histogram: class size -> number of classes of that size."""
         return _histogram(Counter(self.class_ids).values())
+
+    def _json_classes(self) -> Iterator[dict]:
+        for key, members in zip(self.keys, self.member_parts()):
+            yield {"key": list(key), "members": list(map(list, members))}
+
+    def _json_summary(self) -> dict:
+        return {"p": self.p, "i": self.i, "e": {str(size): count for size, count in self.e.items()}}
 
     def to_json_dict(self) -> dict:
         return {
             "s": self.s,
             "n": self.n,
-            "classes": [
-                {"key": list(c.key), "members": [list(m.parts) for m in c.members]}
-                for c in self.classes
-            ],
-            "summary": {
-                "p": self.p,
-                "i": self.i,
-                "e": {str(size): count for size, count in self.e.items()},
-            },
+            "classes": list(self._json_classes()),
+            "summary": self._json_summary(),
         }
 
-    def to_csv(self) -> str:
-        """One row per partition: parts, g-vector, 0-based class id.
+    def to_json(self, out: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline
+        to ``out``, one class at a time, so that no more than one class's
+        document is held at once.
+        """
+        # At indent=2 a class sits two levels deep and the summary one.
+        out.write('{\n  "s": %d,\n  "n": %d,\n  "classes": [\n' % (self.s, self.n))
+        separator = "    "
+        for cls in self._json_classes():
+            out.write(separator + json.dumps(cls, indent=2).replace("\n", "\n    "))
+            separator = ",\n    "
+        summary = json.dumps(self._json_summary(), indent=2).replace("\n", "\n  ")
+        out.write('\n  ],\n  "summary": ' + summary + "\n}\n")
+
+    def to_csv(self, out: TextIO) -> None:
+        """Write one row per partition to ``out``: parts, g-vector, 0-based
+        class id, under a header, as the ``csv`` module writes them.
 
         Rows follow the enumeration order (descending lexicographic), in
-        which the walk recorded them.
+        which the walk recorded them.  Each row fills one %-template; its
+        fields hold only digits and commas, so, as ``csv`` does, the parts
+        and the g-vector are quoted exactly when they hold a comma (s > 1).
         """
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["parts", "g_vector", "class_id"])
-        keys = [",".join(map(str, key)) for key in self.keys]
-        writer.writerows(
-            [",".join(map(str, parts)), keys[idx], idx]
-            for parts, idx in zip(self.parts, self.class_ids)
+        digits = ",".join(["%d"] * self.s)
+        quote = '"' if self.s > 1 else ""
+        row = f"{quote}{digits}{quote},%s,%d\n"
+        keys = [quote + digits % key + quote for key in self.keys]
+        out.write("parts,g_vector,class_id\n")
+        out.writelines(
+            row % (parts + (keys[idx], idx)) for parts, idx in zip(self.parts, self.class_ids)
         )
-        return out.getvalue()
 
 
 def _histogram(sizes: Iterable[int]) -> dict[int, int]:

@@ -41,9 +41,24 @@ def _polynomial_payload(eps: PartitionPolynomial) -> dict:
     return {"text": str(eps), "coefficients": list(eps.coefficients)}
 
 
+def _refuse_unprintable_g(s: int) -> None:
+    """Refuse, before deriving it, a g-vector of s entries that Python
+    cannot write in decimal (see the ``ValueError`` handler in :func:`main`).
+
+    Every i-subset gcd is a multiple of g_s >= 1, so g_i >= C(s, i), and
+    C(s, floor(s/2)) >= 2^s/(s+1).  Once that reaches 10^L, where L is the
+    digit limit, g has an entry of over L digits.  As 10^L > 8^L, no s up
+    to 3L reaches it, and those skip the big powers.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and s > 3 * limit and 1 << s >= (s + 1) * 10**limit:
+        raise BoundExceededError(f"a result has over {limit} digits")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     lam = parse_partition(args.partition)
     field = FieldSpec(characteristic=args.char)
+    _refuse_unprintable_g(lam.s)
     h, g, eps = lam.h, lam.g, lam.polynomial
     dim = dimension(lam)
     det = gcd_matrix_det_and_bounds(lam)
@@ -193,42 +208,49 @@ def _summary_lines(s: int, n: int, p: int, i: int, e: dict[int, int]) -> list[st
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     grouped = classify_partitions(args.s, args.n)
+    out = sys.stdout
     if args.format == "csv":
-        sys.stdout.write(grouped.to_csv())
-        return 0
-    lines = _summary_lines(args.s, args.n, grouped.p, grouped.i, grouped.e)
-    for idx, cls in enumerate(grouped.classes):
-        key = ",".join(str(v) for v in cls.key)
-        members = " | ".join(str(m) for m in cls.members)
-        lines.append(f"class {idx} [g = {key}] size {cls.size}: {members}")
-    _emit(args, "\n".join(lines), grouped.to_json_dict())
+        grouped.to_csv(out)
+    elif args.format == "json":
+        grouped.to_json(out)
+    else:
+        summary = _summary_lines(args.s, args.n, grouped.p, grouped.i, grouped.e)
+        out.write("\n".join(summary) + "\n")
+        digits = ",".join(["%d"] * args.s)
+        for idx, (key, members) in enumerate(zip(grouped.keys, grouped.member_parts())):
+            row = " | ".join([digits % parts for parts in members])
+            out.write(f"class {idx} [g = {digits % key}] size {len(members)}: {row}\n")
     return 0
 
 
 def _cmd_self_equivalent(args: argparse.Namespace) -> int:
     singles = self_equivalent(args.s, args.n)
-    lines = [f"self-equivalent in P({args.s},{args.n}): {len(singles)}"]
-    lines.extend(str(lam) for lam in singles)
-    payload = {
-        "s": args.s,
-        "n": args.n,
-        "self_equivalent": [list(lam.parts) for lam in singles],
-    }
-    _emit(args, "\n".join(lines), payload)
+    if args.format == "json":
+        payload = {
+            "s": args.s,
+            "n": args.n,
+            "self_equivalent": [list(lam.parts) for lam in singles],
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        heading = f"self-equivalent in P({args.s},{args.n}): {len(singles)}"
+        print("\n".join([heading, *map(str, singles)]))
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     p, i, e = count_classes(args.s, args.n)
-    lines = _summary_lines(args.s, args.n, p, i, e)
-    payload = {
-        "s": args.s,
-        "n": args.n,
-        "p": p,
-        "i": i,
-        "e": {str(size): count for size, count in e.items()},
-    }
-    _emit(args, "\n".join(lines), payload)
+    if args.format == "json":
+        payload = {
+            "s": args.s,
+            "n": args.n,
+            "p": p,
+            "i": i,
+            "e": {str(size): count for size, count in e.items()},
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(_summary_lines(args.s, args.n, p, i, e)))
     return 0
 
 

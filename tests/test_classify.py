@@ -20,9 +20,16 @@ from partinv import (
     self_equivalent,
 )
 from partinv.classify import MAX_TABLE_CELLS
+from partinv.cli import main
 
 # The package re-exports the function under the module's name.
 classify_module = importlib.import_module("partinv.classify")
+
+
+def csv_text(grouped) -> str:
+    out = io.StringIO()
+    grouped.to_csv(out)
+    return out.getvalue()
 
 
 class TestClassify:
@@ -96,7 +103,7 @@ class TestClassify:
         for n in range(1, 15):
             for s in range(1, n + 1):
                 grouped = classify(s, n)
-                rows = list(csv.reader(io.StringIO(grouped.to_csv())))[1:]
+                rows = list(csv.reader(io.StringIO(csv_text(grouped))))[1:]
                 assert [r[0] for r in rows] == [str(m) for m in enumerate_partitions(s, n)]
                 for parts_text, g_text, class_id in rows:
                     cls = grouped.classes[int(class_id)]
@@ -172,7 +179,7 @@ class TestWalk:
         monkeypatch.setattr(classify_module, "Partition", unbuilt)
         for n in range(1, 21):
             for s in range(1, n + 1):
-                text = classify(s, n).to_csv()
+                text = csv_text(classify(s, n))
                 pool = list(enumerate_partitions(s, n))
                 keys = sorted({lam.g.values for lam in pool})
                 expected = [
@@ -182,6 +189,17 @@ class TestWalk:
                 assert list(csv.reader(io.StringIO(text))) == [
                     ["parts", "g_vector", "class_id"], *expected
                 ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_text_and_json_build_no_partition(self, monkeypatch, capsys, fmt):
+        def unbuilt(*args):
+            raise AssertionError("classify built a Partition")
+
+        monkeypatch.setattr(classify_module, "Partition", unbuilt)
+        assert main(["classify", "7", "30", "--format", fmt]) == 0
+        assert capsys.readouterr().out.startswith(
+            "p(7,30) = 618\n" if fmt == "text" else '{\n  "s": 7,\n  "n": 30,\n'
+        )
 
 
 class TestSelfEquivalent:
@@ -210,7 +228,7 @@ class TestExports:
         import io
 
         grouped = classify(3, 11)
-        rows = list(csv.reader(io.StringIO(grouped.to_csv())))
+        rows = list(csv.reader(io.StringIO(csv_text(grouped))))
         assert rows[0] == ["parts", "g_vector", "class_id"]
         assert len(rows) == 1 + grouped.p
         assert all(len(row) == 3 for row in rows)

@@ -27,7 +27,7 @@ from partinv import (
 )
 from partinv.classify import MAX_CLASSIFY_SIZE, MAX_TABLE_CELLS, _size_lower_bound
 from partinv.cli import main
-from util import fraction_free_det, prime_quotients
+from util import fraction_free_det, prime_quotients, reference_table_output
 
 
 def run(capsys, *argv):
@@ -242,6 +242,15 @@ class TestDigitLimit:
         assert out == ""
         assert err.startswith("refused: ")
 
+    def test_unprintable_g_vector_is_refused_before_it_is_derived(self):
+        # C(60000, 30000) has over 18000 digits, so g does too.  Deriving g
+        # and the polynomial before the print would fill the 512 MiB.
+        result, peak_mib = run_capped(["analyze", ",".join(["1"] * 60000)], timeout=30)
+        limit = sys.get_int_max_str_digits()
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == f"refused: a result has over {limit} digits\n"
+        assert peak_mib < 100
+
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
         from partinv import cli
 
@@ -339,12 +348,21 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "4", "3")
         assert code == 2
 
-    def test_miscount_is_a_consistency_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "3", "7"],
+            ["classify", "3", "7"],
+            ["classify", "3", "7", "--format", "json"],
+            ["classify", "3", "7", "--format", "csv"],
+        ],
+    )
+    def test_miscount_is_a_consistency_error(self, capsys, monkeypatch, argv):
         # The package re-exports the function under the module's name.
         classify_module = importlib.import_module("partinv.classify")
         real = classify_module.count_partitions
         monkeypatch.setattr(classify_module, "count_partitions", lambda s, n: real(s, n) + 1)
-        code, out, err = run(capsys, "count", "3", "7")
+        code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert "expected 5" in err
@@ -365,20 +383,50 @@ class TestClassify:
         assert "limit" in err
 
 
+class TestTableOutput:
+    def test_every_format_matches_the_whole_table_renderers(self, capsys):
+        formats = {"classify": ("text", "json", "csv"), "count": ("text", "json"),
+                   "self-equivalent": ("text", "json")}
+        for n in range(1, 21):
+            for s in range(1, n + 1):
+                for command, fmts in formats.items():
+                    for fmt in fmts:
+                        expected = (0, reference_table_output(command, s, n, fmt), "")
+                        got = run(capsys, command, str(s), str(n), "--format", fmt)
+                        assert got == expected, (command, s, n, fmt)
+
+
 def run_capped(argv, timeout):
-    """Run the command in a child process whose address space is capped at
-    512 MiB, so that a runaway table fails there instead of filling memory."""
+    """Run the command in a process whose address space is capped at
+    512 MiB, so that a runaway table fails there instead of filling memory.
+
+    Returns the completed process and the command's peak RSS in MiB, which
+    ``os.wait4`` reports as it reaps the command.  A process exec'd from the
+    test run starts with the test run's own peak as its ``ru_maxrss``, so a
+    small child forks the command, reaps it and writes the peak to a pipe.
+    """
     child = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-        "from partinv.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "import os, resource, sys\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "    from partinv.cli import main\n"
+        "    sys.exit(main(sys.argv[2:]))\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "os.write(int(sys.argv[1]), b'%d' % usage.ru_maxrss)\n"  # KiB on Linux
+        "sys.exit(os.waitstatus_to_exitcode(status))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parents[1])}
-    return subprocess.run(
-        [sys.executable, "-c", child, *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
-    )
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as peak:
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", child, str(write_end), *argv],
+                capture_output=True, text=True, timeout=timeout, env=env, pass_fds=(write_end,),
+            )
+        finally:
+            os.close(write_end)
+        return result, int(peak.read()) / 1024
 
 
 class TestTableBounds:
@@ -392,16 +440,24 @@ class TestTableBounds:
         ],
     )
     def test_deep_tables_answer(self, argv, first_line):
-        result = run_capped(argv, timeout=60)
+        result, _ = run_capped(argv, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[0] == first_line
+
+    def test_json_table_streams_in_bounded_memory(self):
+        # Written one class at a time, the peak stays near the part tuples
+        # (about 24 MiB); the whole document as one string takes 86 MiB.
+        result, peak_mib = run_capped(["classify", "12", "56", "--format", "json"], timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["summary"]["p"] == count_partitions(12, 56)
+        assert peak_mib < 48
 
     @pytest.mark.parametrize(
         "s,n", [("1", "1000000000"), ("2", "1000000000"), ("10000", "20000")]
     )
     def test_huge_tables_end_at_once(self, s, n):
         start = time.perf_counter()
-        result = run_capped(["count", s, n], timeout=10)
+        result, _ = run_capped(["count", s, n], timeout=10)
         assert time.perf_counter() - start < 2
         assert result.returncode in (0, 4)
         assert "Traceback" not in result.stderr
@@ -623,7 +679,15 @@ class TestDeclaration:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("argv", [*SHAPES, ["classify", "7", "40", "--format", "csv"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *SHAPES,
+            ["classify", "7", "40", "--format", "csv"],
+            ["classify", "7", "40", "--format", "json"],
+            ["classify", "7", "40"],
+        ],
+    )
     def test_closed_pipe_exits_141_quietly(self, argv):
         env = {**os.environ, "PYTHONPATH": str(Path(partinv.__file__).resolve().parents[1])}
         child = subprocess.Popen(

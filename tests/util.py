@@ -3,11 +3,22 @@ library internals wherever they serve as oracles."""
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 from typing import Iterator
 
-from partinv import Partition, Permutation, enumerate_partitions, gcd_matrix
+from partinv import (
+    Partition,
+    Permutation,
+    classify,
+    count_classes,
+    enumerate_partitions,
+    gcd_matrix,
+    self_equivalent,
+)
 
 
 def all_partitions(n_max: int) -> Iterator[Partition]:
@@ -36,6 +47,46 @@ def exact_partitions(n: int, s: int) -> list[tuple[int, ...]]:
 
     place(n, s, n)
     return found
+
+
+def reference_table_output(command: str, s: int, n: int, fmt: str) -> str:
+    """What ``partinv <command> s n --format fmt`` printed when each output
+    was built whole: CSV through the ``csv`` module, JSON as one
+    ``json.dumps`` of the whole payload, text from the classes'
+    ``Partition`` members."""
+
+    def summary(p: int, i: int, e: dict[int, int]) -> list[str]:
+        histogram = " ".join(f"{size}:{count}" for size, count in e.items())
+        return [f"p({s},{n}) = {p}", f"i({s},{n}) = {i}", f"e({s},{n}): {histogram}"]
+
+    if command == "classify":
+        grouped = classify(s, n)
+        if fmt == "csv":
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["parts", "g_vector", "class_id"])
+            keys = [",".join(map(str, key)) for key in grouped.keys]
+            writer.writerows(
+                [",".join(map(str, parts)), keys[idx], idx]
+                for parts, idx in zip(grouped.parts, grouped.class_ids)
+            )
+            return out.getvalue()
+        payload = grouped.to_json_dict()
+        lines = summary(grouped.p, grouped.i, grouped.e)
+        for idx, cls in enumerate(grouped.classes):
+            key = ",".join(str(v) for v in cls.key)
+            members = " | ".join(str(m) for m in cls.members)
+            lines.append(f"class {idx} [g = {key}] size {cls.size}: {members}")
+    elif command == "count":
+        p, i, e = count_classes(s, n)
+        payload = {"s": s, "n": n, "p": p, "i": i, "e": {str(k): v for k, v in e.items()}}
+        lines = summary(p, i, e)
+    else:
+        singles = self_equivalent(s, n)
+        payload = {"s": s, "n": n, "self_equivalent": [list(lam.parts) for lam in singles]}
+        lines = [f"self-equivalent in P({s},{n}): {len(singles)}", *map(str, singles)]
+    text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)
+    return text + "\n"
 
 
 def subset_gcd_sum(parts: tuple[int, ...], size: int) -> int:

@@ -9,16 +9,14 @@ determined by the cycle type, through the gcd-symmetric invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ConsistencyError, InputError
 from .gcd_symm import is_prime
 from .partition_poly import distinct_eigenvalue_count
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {1, ..., n}; ``images[i-1]`` is the image of i."""
 
     images: tuple[int, ...]
@@ -52,8 +50,7 @@ def canonical_permutation(lam: Partition) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
     """Orbit ids of index pairs under (i, j) -> (sigma(i), sigma(j)).
 
     ``ids[i][j]`` (0-based cell) is the orbit id of the pair (i+1, j+1); ids
@@ -92,8 +89,7 @@ def dimension(lam: Partition) -> int:
     return sum(i * i * h for i, h in enumerate(lam.h.values, start=1))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """The ground field: algebraically closed, of characteristic 0 or a prime."""
 
     characteristic: int = 0
@@ -110,8 +106,7 @@ def is_semisimple(lam: Partition, field: FieldSpec) -> bool:
     return p == 0 or all(part % p for part in lam.parts)
 
 
-@dataclass(frozen=True)
-class WedderburnShape:
+class WedderburnShape(Record):
     """Block structure of the semisimple algebra: ``multiplicities[i-1]``
     copies of the i-by-i matrix ring, i = 1..s."""
 
@@ -175,8 +170,7 @@ def isomorphic(lam: Partition, mu: Partition, field: FieldSpec) -> bool:
     return lam.n == mu.n and same
 
 
-@dataclass(frozen=True)
-class MoritaResult:
+class MoritaResult(Record):
     """Verdict plus the witnessing numbers for both sides.
 
     ``blocks`` are the simple-factor counts (their equality is the

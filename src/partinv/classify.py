@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
 
+from ._record import Record
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _g_from_h
 from .partitions import Partition, _descending, count_partitions
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TextIO
 
 MAX_CLASSIFY_SIZE = 200_000
 # Tables are also refused where s*n is above this, which bounds the counting
@@ -35,8 +39,7 @@ MAX_CLASSIFY_SIZE = 200_000
 MAX_TABLE_CELLS = 6_000_000
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(Record):
     key: tuple[int, ...]
     members: tuple[Partition, ...]
 
@@ -45,8 +48,7 @@ class EquivalenceClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(Record):
     """The full classification of P(s, n).
 
     ``keys`` are the class keys in ascending lexicographic order.  ``parts``
@@ -92,10 +94,6 @@ class EquivalenceClasses:
         """Histogram: class size -> number of classes of that size."""
         return _histogram(Counter(self.class_ids).values())
 
-    def _json_classes(self) -> Iterator[dict]:
-        for key, members in zip(self.keys, self.member_parts()):
-            yield {"key": list(key), "members": list(map(list, members))}
-
     def _json_summary(self) -> dict:
         return {"p": self.p, "i": self.i, "e": {str(size): count for size, count in self.e.items()}}
 
@@ -103,7 +101,10 @@ class EquivalenceClasses:
         return {
             "s": self.s,
             "n": self.n,
-            "classes": list(self._json_classes()),
+            "classes": [
+                {"key": list(key), "members": list(map(list, members))}
+                for key, members in zip(self.keys, self.member_parts())
+            ],
             "summary": self._json_summary(),
         }
 
@@ -111,12 +112,22 @@ class EquivalenceClasses:
         """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline
         to ``out``, one class at a time, so that no more than one class's
         document is held at once.
+
+        A class's key and each member fill one %-template per table, laid
+        out as ``json.dumps`` lays out a list of s integers at indent=2;
+        only the small summary goes through ``json.dumps``, whose indented
+        encoder runs in pure Python.
         """
-        # At indent=2 a class sits two levels deep and the summary one.
+        # At indent=2 a class sits two levels deep, its key and members
+        # three, and their integers four and five.
+        key = ",\n        ".join(["%d"] * self.s)
+        head = '{\n      "key": [\n        ' + key + '\n      ],\n      "members": [\n'
+        member = "        [\n          " + ",\n          ".join(["%d"] * self.s) + "\n        ]"
         out.write('{\n  "s": %d,\n  "n": %d,\n  "classes": [\n' % (self.s, self.n))
         separator = "    "
-        for cls in self._json_classes():
-            out.write(separator + json.dumps(cls, indent=2).replace("\n", "\n    "))
+        for values, members in zip(self.keys, self.member_parts()):
+            rows = ",\n".join([member % parts for parts in members])
+            out.write(separator + head % values + rows + "\n      ]\n    }")
             separator = ",\n    "
         summary = json.dumps(self._json_summary(), indent=2).replace("\n", "\n  ")
         out.write('\n  ],\n  "summary": ' + summary + "\n}\n")

@@ -32,17 +32,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import BoundExceededError, ConsistencyError, InputError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class _Vector:
+class _Vector(Record):
     """A sequence (v_1, ..., v_s); ``vec[i]`` is 1-based like v_i."""
 
     values: tuple[int, ...]
@@ -63,31 +62,31 @@ class _Vector:
         return self.values[i - 1]
 
 
-@dataclass(frozen=True)
 class GVector(_Vector):
     """The sequence (g_1, ..., g_s) of subset gcd sums."""
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise ConsistencyError("empty g-vector")
-        last = self.values[-1]
-        for i, value in enumerate(self.values, start=1):
+        last = values[-1]
+        for i, value in enumerate(values, start=1):
             if value < 1:
                 raise ConsistencyError(f"g_{i} must be positive, got {value}")
             if value % last != 0:
                 raise ConsistencyError(f"g_s = {last} does not divide g_{i} = {value}")
+        self.__dict__["values"] = values
 
 
-@dataclass(frozen=True)
 class HVector(_Vector):
     """The sequence (h_1, ..., h_s) of exact-membership counts."""
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise ConsistencyError("empty h-vector")
-        for i, value in enumerate(self.values, start=1):
+        for i, value in enumerate(values, start=1):
             if value < 0:
                 raise ConsistencyError(f"h_{i} must be nonnegative, got {value}")
+        self.__dict__["values"] = values
 
 
 # The closure of s parts can have 2^s - 1 elements and the shares cost its
@@ -301,8 +300,7 @@ def _positive_definite_det(upper: list[list[int]]) -> int:
     return prev
 
 
-@dataclass(frozen=True)
-class DetBounds:
+class DetBounds(Record):
     """Exact determinant of the gcd matrix with the totient/product bounds.
 
     The bounds (and positivity) are only asserted when the parts are pairwise

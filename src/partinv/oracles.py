@@ -14,10 +14,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
+from ._record import Record
 from .algebra import Permutation, canonical_permutation, dimension, pair_orbits
 from .errors import BoundExceededError, InputError
 from .gcd_symm import (
@@ -38,11 +38,8 @@ MAX_VERIFY_N = 25
 MAX_MATRIX_CAP = 16
 
 
-class ReducedFraction(NamedTuple):
-    """k/l in lowest terms with 0 <= k < l; encodes the root e^(2*pi*i*k/l)."""
-
-    numerator: int
-    denominator: int
+ReducedFraction = namedtuple("ReducedFraction", ["numerator", "denominator"])
+ReducedFraction.__doc__ = "k/l in lowest terms with 0 <= k < l; encodes the root e^(2*pi*i*k/l)."
 
 
 def root_fraction(k: int, l: int) -> ReducedFraction:
@@ -178,15 +175,13 @@ def commutant_dimension(sigma: Permutation) -> int:
 # --- check families -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     input: str
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(Record):
     family: str
     instances: int
     failures: tuple[Failure, ...]
@@ -196,8 +191,7 @@ class FamilyResult:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     families: tuple[FamilyResult, ...]
 
     @property

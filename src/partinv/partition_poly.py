@@ -12,21 +12,22 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
+from ._record import Record
 from .errors import ConsistencyError
 from .gcd_symm import GVector
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class PartitionPolynomial:
+class PartitionPolynomial(Record):
     """Integer polynomial, coefficients stored low degree first."""
 
     coefficients: tuple[int, ...]
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        self.__dict__["coefficients"] = coefficients
 
     @property
     def degree(self) -> int:

@@ -9,17 +9,16 @@ they are not fields, so equality, hash, order and repr read the parts alone.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
+from ._record import Record
 from .errors import InputError
 from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
 from .partition_poly import PartitionPolynomial, _polynomial
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(Record, order=True):
     """Weakly decreasing tuple of positive integers.
 
     ``n`` is the sum of the parts and ``s`` the number of parts.  Ordering
@@ -31,16 +30,17 @@ class Partition:
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.parts) is not tuple:
-            raise InputError(f"parts must be a tuple, got {type(self.parts).__name__}")
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if type(parts) is not tuple:
+            raise InputError(f"parts must be a tuple, got {type(parts).__name__}")
+        if not parts:
             raise InputError("a partition needs at least one part")
-        for p in self.parts:
+        for p in parts:
             if type(p) is not int or p < 1:
                 raise InputError(f"part must be a positive integer, got {p!r}")
-        if any(map(operator.lt, self.parts, self.parts[1:])):
-            raise InputError(f"parts must be weakly decreasing: {self.parts}")
+        if any(map(operator.lt, parts, parts[1:])):
+            raise InputError(f"parts must be weakly decreasing: {parts}")
+        self.__dict__["parts"] = parts
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":

@@ -3,6 +3,9 @@ integer rule for library arguments and the refusals of malformed values."""
 
 import ast
 import doctest
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,24 @@ def test_every_imported_name_is_exported():
         for alias in node.names
     }
     assert imported == set(partinv.__all__)
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_typing():
+    # -S keeps site-packages' .pth files, which may import typing, out of
+    # the interpreter, so that only what partinv.cli needs gets loaded.
+    probe = (
+        "import sys; before = set(sys.modules); import partinv.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(partinv.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "partinv.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
 
 
 def test_readme_example_runs():

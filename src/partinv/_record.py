@@ -6,8 +6,8 @@ position or keyword, a class attribute as a field's default, then
 ``__post_init__``; equality only with an instance of the same class,
 comparing the fields in order; ``hash`` of the field tuple; the repr
 ``Name(field=value, ...)``; assignment and deletion refused with
-:class:`AttributeError`; and, for ``class C(Record, order=True)``, ordering
-by the field tuple.  Instances keep a ``__dict__``, so a
+:class:`AttributeError`.  There is no ordering; a record that orders
+defines its own comparisons.  Instances keep a ``__dict__``, so a
 ``functools.cached_property`` can store what it derives there, outside
 equality, hash and repr.
 
@@ -17,7 +17,7 @@ process.  A record built in a hot loop defines its own ``__init__``, which
 stores its fields in ``__dict__`` with no argument binding.
 """
 
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter
 
 
 class Record:
@@ -25,16 +25,13 @@ class Record:
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, order: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # Own annotations only (Python 3.10+), after the inherited fields.
         own = [name for name in cls.__annotations__ if name not in cls._fields]
         cls._fields = cls.__match_args__ = cls._fields + tuple(own)
         # The one field, or the tuple of fields: either compares as the tuple.
         cls._key = attrgetter(*cls._fields)
-        if order:
-            for name, method in _ORDERING.items():
-                setattr(cls, name, method)
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -91,18 +88,3 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-def _ordering(compare):
-    def method(self: Record, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            key = self._key
-            return compare(key(self), key(other))
-        return NotImplemented
-
-    return method
-
-
-_ORDERING = {
-    name: _ordering(compare)
-    for name, compare in [("__lt__", lt), ("__le__", le), ("__gt__", gt), ("__ge__", ge)]
-}

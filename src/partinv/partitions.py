@@ -18,7 +18,7 @@ from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
 from .partition_poly import PartitionPolynomial, _polynomial
 
 
-class Partition(Record, order=True):
+class Partition(Record):
     """Weakly decreasing tuple of positive integers.
 
     ``n`` is the sum of the parts and ``s`` the number of parts.  Ordering
@@ -66,6 +66,26 @@ class Partition(Record, order=True):
     @cached_property
     def polynomial(self) -> PartitionPolynomial:
         return _polynomial(self.g)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is Partition:
+            return self.parts < other.parts
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is Partition:
+            return self.parts <= other.parts
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is Partition:
+            return self.parts > other.parts
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is Partition:
+            return self.parts >= other.parts
+        return NotImplemented
 
     def __iter__(self):
         return iter(self.parts)

@@ -371,7 +371,7 @@ class TestClassify:
         def unbuilt(*args):
             raise AssertionError("count built a value it does not print")
 
-        monkeypatch.setattr(Partition, "__post_init__", unbuilt)
+        monkeypatch.setattr(Partition, "__init__", unbuilt)
         monkeypatch.setattr(importlib.import_module("partinv.classify"), "_g_from_h", unbuilt)
         code, out, _ = run(capsys, "count", "7", "30")
         assert code == 0

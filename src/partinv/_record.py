@@ -1,20 +1,21 @@
 """Frozen value records, built from plain methods.
 
 A subclass of :class:`Record` lists its fields as class annotations and
-behaves as ``@dataclass(frozen=True)`` would make it: construction by
-position or keyword, a class attribute as a field's default, then
-``__post_init__``; equality only with an instance of the same class,
-comparing the fields in order; ``hash`` of the field tuple; the repr
-``Name(field=value, ...)``; assignment and deletion refused with
-:class:`AttributeError`.  There is no ordering; a record that orders
-defines its own comparisons.  Instances keep a ``__dict__``, so a
+behaves as ``@dataclass(frozen=True)`` would make it, built one way only:
+every field given, by position and then by keyword in field order, any
+other call refused with a :class:`TypeError` naming the fields in order;
+equality only with an instance of the same class, comparing the fields in
+order; ``hash`` of the field tuple; the repr ``Name(field=value, ...)``;
+assignment and deletion refused with :class:`AttributeError`.  There is no
+ordering, field default or validation hook: a record that has one defines
+its own comparisons or its own ``__init__``, which stores its fields in
+``__dict__``.  Instances keep a ``__dict__``, so a
 ``functools.cached_property`` can store what it derives there, outside
 equality, hash and repr.
 
 ``dataclasses`` is not used: importing it loads ``inspect``, and each
 dataclass compiles its generated methods, both at the start of every CLI
-process.  A record built in a hot loop defines its own ``__init__``, which
-stores its fields in ``__dict__`` with no argument binding.
+process.
 """
 
 from operator import attrgetter
@@ -36,34 +37,9 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
         # Every field given, by position and then by keyword in field order.
-        if len(args) <= len(fields) and tuple(kwargs) == fields[len(args) :]:
-            values = (*args, *kwargs.values())
-        else:
-            values = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, values))
-        self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict) -> list:
-        """The field values, in field order, from a call's arguments, refused
-        with :class:`TypeError` as a function with the fields as parameters
-        would refuse them."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [f for f in fields if f not in values and not hasattr(type(self), f)]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return [values[f] if f in values else getattr(type(self), f) for f in fields]
-
-    def __post_init__(self) -> None:
-        pass
+        if len(args) > len(fields) or tuple(kwargs) != fields[len(args) :]:
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, in order")
+        self.__dict__.update(zip(fields, (*args, *kwargs.values())))
 
     def _values(self) -> tuple:
         value = self._key(self)

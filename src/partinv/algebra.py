@@ -21,15 +21,16 @@ class Permutation(Record):
 
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.images) is not tuple:
-            raise InputError(f"images must be a tuple, got {type(self.images).__name__}")
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if type(images) is not tuple:
+            raise InputError(f"images must be a tuple, got {type(images).__name__}")
+        n = len(images)
         if n == 0:
             raise InputError("a permutation needs degree at least 1")
-        exact = all(type(image) is int for image in self.images)
-        if not exact or sorted(self.images) != list(range(1, n + 1)):
-            raise InputError(f"images are not a bijection of 1..{n}: {self.images}")
+        exact = all(type(image) is int for image in images)
+        if not exact or sorted(images) != list(range(1, n + 1)):
+            raise InputError(f"images are not a bijection of 1..{n}: {images}")
+        self.__dict__["images"] = images
 
     @property
     def n(self) -> int:
@@ -92,12 +93,13 @@ def dimension(lam: Partition) -> int:
 class FieldSpec(Record):
     """The ground field: algebraically closed, of characteristic 0 or a prime."""
 
-    characteristic: int = 0
+    characteristic: int
 
-    def __post_init__(self) -> None:
-        p = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        p = characteristic
         if type(p) is not int or (p != 0 and not is_prime(p)):
             raise InputError(f"characteristic must be 0 or prime, got {p!r}")
+        self.__dict__["characteristic"] = p
 
 
 def is_semisimple(lam: Partition, field: FieldSpec) -> bool:
@@ -161,13 +163,14 @@ def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
 def isomorphic(lam: Partition, mu: Partition, field: FieldSpec) -> bool:
     """Whether the two fixed algebras are isomorphic: equal degree and polynomial.
 
-    Both sides are derived before the field is checked, so a refused
+    Both sides derive h before the field is checked, so a refused
     gcd-closure is reported ahead of a characteristic that divides a part.
+    The polynomials are compared last, and only when n and s agree.
     """
-    same = lam.polynomial == mu.polynomial
+    lam.h, mu.h
     _require_semisimple(lam, field)
     _require_semisimple(mu, field)
-    return lam.n == mu.n and same
+    return lam.n == mu.n and lam.s == mu.s and lam.polynomial == mu.polynomial
 
 
 class MoritaResult(Record):

@@ -108,17 +108,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_payload(args: argparse.Namespace) -> tuple[Partition, Partition, FieldSpec]:
+def _parse_pair(args: argparse.Namespace) -> tuple[Partition, Partition, FieldSpec]:
+    """The two partitions and the field, each side's h derived, so that a
+    refused gcd-closure comes first."""
     lam = parse_partition(args.left)
     mu = parse_partition(args.right)
     field = FieldSpec(characteristic=args.char)
+    lam.h, mu.h
     return lam, mu, field
 
 
+def _refuse_unprintable_polynomials(lam: Partition, mu: Partition, field: FieldSpec) -> None:
+    """Refuse, before deriving them, polynomials too long to print.  A side
+    that is not semisimple is refused first, by :func:`isomorphic`."""
+    if is_semisimple(lam, field) and is_semisimple(mu, field):
+        _refuse_unprintable_g(max(lam.s, mu.s))
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
-    equal_poly = equivalent(lam, mu)
+    lam, mu, field = _parse_pair(args)
+    _refuse_unprintable_polynomials(lam, mu, field)
     iso = isomorphic(lam, mu, field)
+    equal_poly = equivalent(lam, mu)
     morita = morita_equivalent(lam, mu, field)
 
     def yesno(flag: bool) -> str:
@@ -160,27 +171,29 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
+    lam, mu, field = _parse_pair(args)
+    if args.format == "json":  # the verdict alone, with no polynomial
+        payload = {
+            "left": list(lam.parts),
+            "right": list(mu.parts),
+            "characteristic": field.characteristic,
+            "isomorphic": isomorphic(lam, mu, field),
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
+    _refuse_unprintable_polynomials(lam, mu, field)
     verdict = isomorphic(lam, mu, field)
-    text = "\n".join(
-        [
-            f"left polynomial: {lam.polynomial}",
-            f"right polynomial: {mu.polynomial}",
-            f"isomorphic: {'yes' if verdict else 'no'}",
-        ]
-    )
-    payload = {
-        "left": list(lam.parts),
-        "right": list(mu.parts),
-        "characteristic": field.characteristic,
-        "isomorphic": verdict,
-    }
-    _emit(args, text, payload)
+    lines = [
+        f"left polynomial: {lam.polynomial}",
+        f"right polynomial: {mu.polynomial}",
+        f"isomorphic: {'yes' if verdict else 'no'}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_morita(args: argparse.Namespace) -> int:
-    lam, mu, field = _compare_payload(args)
+    lam, mu, field = _parse_pair(args)
     morita = morita_equivalent(lam, mu, field)
     text = "\n".join(
         [

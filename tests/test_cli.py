@@ -251,6 +251,34 @@ class TestDigitLimit:
         assert result.stderr == f"refused: a result has over {limit} digits\n"
         assert peak_mib < 100
 
+    @pytest.mark.parametrize(
+        "command,fmt,code,line",
+        [
+            ("compare", "text", 4, None),
+            ("compare", "json", 4, None),
+            ("iso", "text", 4, None),
+            ("iso", "json", 0, '  "isomorphic": false'),
+            ("morita", "text", 0, "morita: yes"),
+        ],
+        ids=["compare-text", "compare-json", "iso-text", "iso-json", "morita"],
+    )
+    def test_unprintable_polynomials_are_refused_before_they_are_derived(
+        self, command, fmt, code, line
+    ):
+        # The polynomial of 60 000 ones has C(60000, i) coefficients, past
+        # the digit limit; only the printed polynomials are refused, and
+        # iso's JSON verdict and morita print none.  The argument is 119 999
+        # bytes, under Linux's 128 KiB limit for one argument.
+        ones = ",".join(["1"] * 60000)
+        result, peak_mib = run_capped([command, ones, "1", "--format", fmt], timeout=30)
+        assert result.returncode == code, result.stderr
+        if line is None:
+            refusal = f"refused: a result has over {sys.get_int_max_str_digits()} digits\n"
+            assert (result.stdout, result.stderr) == ("", refusal)
+        else:
+            assert line in result.stdout.splitlines() and result.stderr == ""
+        assert peak_mib < 100
+
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
         from partinv import cli
 

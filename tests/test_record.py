@@ -2,9 +2,10 @@
 
 Every record class of the package is compared with a dataclass built here
 from the same name and fields: equality within and across classes, hash,
-repr, match args, refused assignment and deletion, keyword construction and
-defaults, argument errors, and ordering, which only ``Partition`` has.  Copies
-and pickles must come back equal.
+repr, match args, refused assignment and deletion, keyword construction (a
+record takes keywords only in field order) and ``FieldSpec``'s default,
+argument errors, and ordering, which only ``Partition`` has.  Copies and
+pickles must come back equal.
 """
 
 import copy
@@ -147,6 +148,12 @@ def test_construction_by_keyword_and_default(cls, fields, defaults, samples):
     if len(fields) > 1:
         with pytest.raises(TypeError):
             cls(*samples[0], **{fields[0]: samples[0][0]})
+        # Keywords out of field order: the dataclass binds them, a record refuses.
+        shuffled = dict(reversed(list(zip(fields, samples[0]))))
+        assert dc(**shuffled) == dc(*samples[0])
+        with pytest.raises(TypeError) as refused:
+            cls(**shuffled)
+        assert str(refused.value) == f"{cls.__name__}() takes {', '.join(fields)}, in order"
     if not defaults:
         with pytest.raises(TypeError):
             dc()

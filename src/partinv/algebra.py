@@ -161,16 +161,18 @@ def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
 
 
 def isomorphic(lam: Partition, mu: Partition, field: FieldSpec) -> bool:
-    """Whether the two fixed algebras are isomorphic: equal degree and polynomial.
+    """Whether the two fixed algebras are isomorphic: equal h-vectors.
 
-    Both sides derive h before the field is checked, so a refused
-    gcd-closure is reported ahead of a characteristic that divides a part.
-    The polynomials are compared last, and only when n and s agree.
+    Each algebra is the product of h_i copies of the i-by-i matrix ring, so
+    it is fixed by h, and equal h is the paper's criterion, equal n and
+    equal polynomial.  Both sides derive h before the field is checked, so
+    a refused gcd-closure is reported ahead of a characteristic that
+    divides a part.
     """
     lam.h, mu.h
     _require_semisimple(lam, field)
     _require_semisimple(mu, field)
-    return lam.n == mu.n and lam.s == mu.s and lam.polynomial == mu.polynomial
+    return lam.h == mu.h
 
 
 class MoritaResult(Record):

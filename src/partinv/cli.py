@@ -30,13 +30,6 @@ from .partition_poly import PartitionPolynomial, equivalent
 from .partitions import Partition, parse_partition
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
-
-
 def _polynomial_payload(eps: PartitionPolynomial) -> dict:
     return {"text": str(eps), "coefficients": list(eps.coefficients)}
 
@@ -65,6 +58,28 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     semisimple = is_semisimple(lam, field)
     shape = wedderburn(lam, field) if semisimple else None
 
+    if args.format == "json":
+        payload = {
+            "partition": list(lam.parts),
+            "n": lam.n,
+            "s": lam.s,
+            "g_vector": list(g.values),
+            "h_vector": list(h.values),
+            "polynomial": _polynomial_payload(eps),
+            "dimension": dim,
+            "determinant": {
+                "value": det.determinant,
+                "lower": det.lower,
+                "upper": det.upper,
+                "distinct": det.distinct,
+            },
+            "characteristic": field.characteristic,
+            "algebraically_closed": True,  # the only field modelled; kept for the JSON shape
+            "semisimple": semisimple,
+            "wedderburn": {str(i): v for i, v in shape.as_dict().items()} if shape else None,
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
     lines = [
         f"partition: {lam}",
         f"n: {lam.n}",
@@ -84,53 +99,44 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines += ["semisimple: yes", f"blocks: {shape.describe()}"]
     else:
         lines.append(f"semisimple: no, {not_semisimple_message(lam, field)}")
-
-    payload = {
-        "partition": list(lam.parts),
-        "n": lam.n,
-        "s": lam.s,
-        "g_vector": list(g.values),
-        "h_vector": list(h.values),
-        "polynomial": _polynomial_payload(eps),
-        "dimension": dim,
-        "determinant": {
-            "value": det.determinant,
-            "lower": det.lower,
-            "upper": det.upper,
-            "distinct": det.distinct,
-        },
-        "characteristic": field.characteristic,
-        "algebraically_closed": True,  # the only field modelled; kept for the JSON shape
-        "semisimple": semisimple,
-        "wedderburn": {str(i): v for i, v in shape.as_dict().items()} if shape else None,
-    }
-    _emit(args, "\n".join(lines), payload)
+    print("\n".join(lines))
     return 0
 
 
 def _parse_pair(args: argparse.Namespace) -> tuple[Partition, Partition, FieldSpec]:
-    """The two partitions and the field, each side's h derived, so that a
-    refused gcd-closure comes first."""
-    lam = parse_partition(args.left)
-    mu = parse_partition(args.right)
-    field = FieldSpec(characteristic=args.char)
-    lam.h, mu.h
-    return lam, mu, field
-
-
-def _refuse_unprintable_polynomials(lam: Partition, mu: Partition, field: FieldSpec) -> None:
-    """Refuse, before deriving them, polynomials too long to print.  A side
-    that is not semisimple is refused first, by :func:`isomorphic`."""
-    if is_semisimple(lam, field) and is_semisimple(mu, field):
-        _refuse_unprintable_g(max(lam.s, mu.s))
+    return parse_partition(args.left), parse_partition(args.right), FieldSpec(args.char)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     lam, mu, field = _parse_pair(args)
-    _refuse_unprintable_polynomials(lam, mu, field)
     iso = isomorphic(lam, mu, field)
+    _refuse_unprintable_g(max(lam.s, mu.s))  # before the polynomials are derived
     equal_poly = equivalent(lam, mu)
     morita = morita_equivalent(lam, mu, field)
+
+    if args.format == "json":
+        payload = {
+            "left": {
+                "partition": list(lam.parts),
+                "n": lam.n,
+                "polynomial": _polynomial_payload(lam.polynomial),
+                "blocks": morita.blocks[0],
+                "signed_value": morita.signed_values[0],
+            },
+            "right": {
+                "partition": list(mu.parts),
+                "n": mu.n,
+                "polynomial": _polynomial_payload(mu.polynomial),
+                "blocks": morita.blocks[1],
+                "signed_value": morita.signed_values[1],
+            },
+            "characteristic": field.characteristic,
+            "equivalent": equal_poly,
+            "isomorphic": iso,
+            "morita": morita.equivalent,
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
 
     def yesno(flag: bool) -> str:
         return "yes" if flag else "no"
@@ -146,43 +152,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
         f"signed values: {morita.signed_values[0]} vs {morita.signed_values[1]}",
     ]
-    payload = {
-        "left": {
-            "partition": list(lam.parts),
-            "n": lam.n,
-            "polynomial": _polynomial_payload(lam.polynomial),
-            "blocks": morita.blocks[0],
-            "signed_value": morita.signed_values[0],
-        },
-        "right": {
-            "partition": list(mu.parts),
-            "n": mu.n,
-            "polynomial": _polynomial_payload(mu.polynomial),
-            "blocks": morita.blocks[1],
-            "signed_value": morita.signed_values[1],
-        },
-        "characteristic": field.characteristic,
-        "equivalent": equal_poly,
-        "isomorphic": iso,
-        "morita": morita.equivalent,
-    }
-    _emit(args, "\n".join(lines), payload)
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
     lam, mu, field = _parse_pair(args)
+    verdict = isomorphic(lam, mu, field)
     if args.format == "json":  # the verdict alone, with no polynomial
         payload = {
             "left": list(lam.parts),
             "right": list(mu.parts),
             "characteristic": field.characteristic,
-            "isomorphic": isomorphic(lam, mu, field),
+            "isomorphic": verdict,
         }
         print(json.dumps(payload, indent=2))
         return 0
-    _refuse_unprintable_polynomials(lam, mu, field)
-    verdict = isomorphic(lam, mu, field)
+    _refuse_unprintable_g(max(lam.s, mu.s))
     lines = [
         f"left polynomial: {lam.polynomial}",
         f"right polynomial: {mu.polynomial}",
@@ -195,22 +181,23 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 def _cmd_morita(args: argparse.Namespace) -> int:
     lam, mu, field = _parse_pair(args)
     morita = morita_equivalent(lam, mu, field)
-    text = "\n".join(
-        [
-            f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
-            f"signed values: {morita.signed_values[0]} vs {morita.signed_values[1]}",
-            f"morita: {'yes' if morita.equivalent else 'no'}",
-        ]
-    )
-    payload = {
-        "left": list(lam.parts),
-        "right": list(mu.parts),
-        "characteristic": field.characteristic,
-        "blocks": list(morita.blocks),
-        "signed_values": list(morita.signed_values),
-        "morita": morita.equivalent,
-    }
-    _emit(args, text, payload)
+    if args.format == "json":
+        payload = {
+            "left": list(lam.parts),
+            "right": list(mu.parts),
+            "characteristic": field.characteristic,
+            "blocks": list(morita.blocks),
+            "signed_values": list(morita.signed_values),
+            "morita": morita.equivalent,
+        }
+        print(json.dumps(payload, indent=2))
+        return 0
+    lines = [
+        f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
+        f"signed values: {morita.signed_values[0]} vs {morita.signed_values[1]}",
+        f"morita: {'yes' if morita.equivalent else 'no'}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -269,7 +256,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(args.nmax)
-    _emit(args, report.to_text(), report.to_json_dict())
+    if args.format == "json":
+        print(json.dumps(report.to_json_dict(), indent=2))
+    else:
+        print(report.to_text())
     return 0 if report.passed else 1
 
 

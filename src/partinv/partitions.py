@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 from ._record import Record
 from .errors import InputError
@@ -18,6 +18,7 @@ from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
 from .partition_poly import PartitionPolynomial, _polynomial
 
 
+@total_ordering
 class Partition(Record):
     """Weakly decreasing tuple of positive integers.
 
@@ -70,21 +71,6 @@ class Partition(Record):
     def __lt__(self, other: object) -> bool:
         if other.__class__ is Partition:
             return self.parts < other.parts
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is Partition:
-            return self.parts <= other.parts
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is Partition:
-            return self.parts > other.parts
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is Partition:
-            return self.parts >= other.parts
         return NotImplemented
 
     def __iter__(self):

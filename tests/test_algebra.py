@@ -279,6 +279,13 @@ class TestIsomorphism:
                             == wedderburn(mu, FieldSpec()).multiplicities
                         )
                         assert isomorphic(lam, mu, FieldSpec()) == same_shape
+        # The paper's criterion, across tables: equal n and equal polynomial.
+        pool = list(all_partitions(10))
+        assert len(pool) == 138
+        for lam in pool:
+            for mu in pool:
+                paper = lam.n == mu.n and epsilon(lam) == epsilon(mu)
+                assert isomorphic(lam, mu, FieldSpec()) == paper, (lam, mu)
 
     def test_precondition_errors(self):
         with pytest.raises(InputError):

@@ -224,6 +224,9 @@ class TestClosureBudget:
         assert "gcd-closure" in err
 
 
+_ONES = ",".join(["1"] * 60000)  # 60 000 parts, 119 999 bytes as one argument
+
+
 class TestDigitLimit:
     # Python writes no int past sys.get_int_max_str_digits() (4300 by
     # default) in decimal; such a report is refused, not half printed.
@@ -245,32 +248,44 @@ class TestDigitLimit:
     def test_unprintable_g_vector_is_refused_before_it_is_derived(self):
         # C(60000, 30000) has over 18000 digits, so g does too.  Deriving g
         # and the polynomial before the print would fill the 512 MiB.
-        result, peak_mib = run_capped(["analyze", ",".join(["1"] * 60000)], timeout=30)
+        result, peak_mib = run_capped(["analyze", _ONES], timeout=30)
         limit = sys.get_int_max_str_digits()
         assert (result.returncode, result.stdout) == (4, "")
         assert result.stderr == f"refused: a result has over {limit} digits\n"
         assert peak_mib < 100
 
     @pytest.mark.parametrize(
-        "command,fmt,code,line",
+        "command,fmt,right,code,line",
         [
-            ("compare", "text", 4, None),
-            ("compare", "json", 4, None),
-            ("iso", "text", 4, None),
-            ("iso", "json", 0, '  "isomorphic": false'),
-            ("morita", "text", 0, "morita: yes"),
+            ("compare", "text", "1", 4, None),
+            ("compare", "json", "1", 4, None),
+            ("iso", "text", "1", 4, None),
+            ("iso", "json", "1", 0, '  "isomorphic": false'),
+            ("morita", "text", "1", 0, "morita: yes"),
+            ("compare", "text", _ONES, 4, None),
+            ("compare", "json", _ONES, 4, None),
+            ("iso", "json", _ONES, 0, '  "isomorphic": true'),
         ],
-        ids=["compare-text", "compare-json", "iso-text", "iso-json", "morita"],
+        ids=[
+            "compare-text",
+            "compare-json",
+            "iso-text",
+            "iso-json",
+            "morita",
+            "compare-text-equal-sides",
+            "compare-json-equal-sides",
+            "iso-json-equal-sides",
+        ],
     )
     def test_unprintable_polynomials_are_refused_before_they_are_derived(
-        self, command, fmt, code, line
+        self, command, fmt, right, code, line
     ):
         # The polynomial of 60 000 ones has C(60000, i) coefficients, past
         # the digit limit; only the printed polynomials are refused, and
-        # iso's JSON verdict and morita print none.  The argument is 119 999
-        # bytes, under Linux's 128 KiB limit for one argument.
-        ones = ",".join(["1"] * 60000)
-        result, peak_mib = run_capped([command, ones, "1", "--format", fmt], timeout=30)
+        # iso's JSON verdict and morita print none, even when both sides
+        # are those ones.  Each argument is 119 999 bytes, under Linux's
+        # 128 KiB limit for one argument.
+        result, peak_mib = run_capped([command, _ONES, right, "--format", fmt], timeout=30)
         assert result.returncode == code, result.stderr
         if line is None:
             refusal = f"refused: a result has over {sys.get_int_max_str_digits()} digits\n"

@@ -11,8 +11,9 @@ output.  Every table command is one guarded walk of P(s, n) that keeps only
 what it reports: ``classify`` each partition's parts and class id, in walk
 order, and one g-key per class; ``self_equivalent`` each class's first parts
 and its size; and ``count_classes`` the class sizes alone.  A classification
-is written straight from those part tuples, a CSV row or a JSON class at a
-time, in the one format asked for.
+is written straight from those part tuples, a CSV row, a JSON class or a
+text line at a time, in the one format asked for; :func:`summary_text` and
+:func:`summary_json` lay out the p, i and e numbers that the CLI prints.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class EquivalenceClasses(Record):
     lists P(s, n) in enumeration order (descending lexicographic), and
     ``class_ids`` gives the index in ``keys`` of each one's class.
     ``classes`` groups them, members in enumeration order, on first read.
-    ``to_csv`` and ``to_json`` write the table to a stream from the part
-    tuples, a row or a class at a time, and build no :class:`Partition`.
+    ``to_csv``, ``to_json`` and ``to_text`` write the table to a stream, a
+    row or a class at a time, from the part tuples: none builds a Partition.
     """
 
     s: int
@@ -94,9 +95,6 @@ class EquivalenceClasses(Record):
         """Histogram: class size -> number of classes of that size."""
         return _histogram(Counter(self.class_ids).values())
 
-    def _json_summary(self) -> dict:
-        return {"p": self.p, "i": self.i, "e": {str(size): count for size, count in self.e.items()}}
-
     def to_json_dict(self) -> dict:
         return {
             "s": self.s,
@@ -105,7 +103,7 @@ class EquivalenceClasses(Record):
                 {"key": list(key), "members": list(map(list, members))}
                 for key, members in zip(self.keys, self.member_parts())
             ],
-            "summary": self._json_summary(),
+            "summary": summary_json(self.p, self.i, self.e),
         }
 
     def to_json(self, out: TextIO) -> None:
@@ -129,7 +127,7 @@ class EquivalenceClasses(Record):
             rows = ",\n".join([member % parts for parts in members])
             out.write(separator + head % values + rows + "\n      ]\n    }")
             separator = ",\n    "
-        summary = json.dumps(self._json_summary(), indent=2).replace("\n", "\n  ")
+        summary = json.dumps(summary_json(self.p, self.i, self.e), indent=2).replace("\n", "\n  ")
         out.write('\n  ],\n  "summary": ' + summary + "\n}\n")
 
     def to_csv(self, out: TextIO) -> None:
@@ -149,6 +147,26 @@ class EquivalenceClasses(Record):
         out.writelines(
             row % (parts + (keys[idx], idx)) for parts, idx in zip(self.parts, self.class_ids)
         )
+
+    def to_text(self, out: TextIO) -> None:
+        """Write the :func:`summary_text` lines, then one line per class to
+        ``out``: its id, g-key, size and members, in class order."""
+        out.write(summary_text(self.s, self.n, self.p, self.i, self.e) + "\n")
+        digits = ",".join(["%d"] * self.s)
+        for idx, (key, members) in enumerate(zip(self.keys, self.member_parts())):
+            row = " | ".join([digits % parts for parts in members])
+            out.write(f"class {idx} [g = {digits % key}] size {len(members)}: {row}\n")
+
+
+def summary_text(s: int, n: int, p: int, i: int, e: dict[int, int]) -> str:
+    """The p, i and e numbers of P(s, n) as three lines, with no final newline."""
+    histogram = " ".join(f"{size}:{count}" for size, count in e.items())
+    return f"p({s},{n}) = {p}\ni({s},{n}) = {i}\ne({s},{n}): {histogram}"
+
+
+def summary_json(p: int, i: int, e: dict[int, int]) -> dict:
+    """The p, i and e numbers as JSON fields; JSON keys are strings."""
+    return {"p": p, "i": i, "e": {str(size): count for size, count in e.items()}}
 
 
 def _histogram(sizes: Iterable[int]) -> dict[int, int]:

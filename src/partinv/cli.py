@@ -22,12 +22,22 @@ from .algebra import (
     wedderburn,
 )
 from .classify import classify as classify_partitions
-from .classify import count_classes, self_equivalent
+from .classify import count_classes, self_equivalent, summary_json, summary_text
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
 from .partition_poly import PartitionPolynomial, equivalent
 from .partitions import Partition, parse_partition
+
+
+def _write_json(payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout.
+
+    The whole document is encoded before any of it is written, so a report
+    with an unprintable integer is refused, not half printed; its pieces
+    are then written one by one, never joined into one string.
+    """
+    sys.stdout.writelines([*json.JSONEncoder(indent=2).iterencode(payload), "\n"])
 
 
 def _polynomial_payload(eps: PartitionPolynomial) -> dict:
@@ -59,7 +69,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     shape = wedderburn(lam, field) if semisimple else None
 
     if args.format == "json":
-        payload = {
+        _write_json({
             "partition": list(lam.parts),
             "n": lam.n,
             "s": lam.s,
@@ -77,8 +87,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "algebraically_closed": True,  # the only field modelled; kept for the JSON shape
             "semisimple": semisimple,
             "wedderburn": {str(i): v for i, v in shape.as_dict().items()} if shape else None,
-        }
-        print(json.dumps(payload, indent=2))
+        })
         return 0
     lines = [
         f"partition: {lam}",
@@ -115,7 +124,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     morita = morita_equivalent(lam, mu, field)
 
     if args.format == "json":
-        payload = {
+        _write_json({
             "left": {
                 "partition": list(lam.parts),
                 "n": lam.n,
@@ -134,8 +143,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "equivalent": equal_poly,
             "isomorphic": iso,
             "morita": morita.equivalent,
-        }
-        print(json.dumps(payload, indent=2))
+        })
         return 0
 
     def yesno(flag: bool) -> str:
@@ -160,13 +168,12 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     lam, mu, field = _parse_pair(args)
     verdict = isomorphic(lam, mu, field)
     if args.format == "json":  # the verdict alone, with no polynomial
-        payload = {
+        _write_json({
             "left": list(lam.parts),
             "right": list(mu.parts),
             "characteristic": field.characteristic,
             "isomorphic": verdict,
-        }
-        print(json.dumps(payload, indent=2))
+        })
         return 0
     _refuse_unprintable_g(max(lam.s, mu.s))
     lines = [
@@ -182,15 +189,14 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     lam, mu, field = _parse_pair(args)
     morita = morita_equivalent(lam, mu, field)
     if args.format == "json":
-        payload = {
+        _write_json({
             "left": list(lam.parts),
             "right": list(mu.parts),
             "characteristic": field.characteristic,
             "blocks": list(morita.blocks),
             "signed_values": list(morita.signed_values),
             "morita": morita.equivalent,
-        }
-        print(json.dumps(payload, indent=2))
+        })
         return 0
     lines = [
         f"simple blocks: {morita.blocks[0]} vs {morita.blocks[1]}",
@@ -201,37 +207,21 @@ def _cmd_morita(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summary_lines(s: int, n: int, p: int, i: int, e: dict[int, int]) -> list[str]:
-    histogram = " ".join(f"{size}:{count}" for size, count in e.items())
-    return [f"p({s},{n}) = {p}", f"i({s},{n}) = {i}", f"e({s},{n}): {histogram}"]
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     grouped = classify_partitions(args.s, args.n)
-    out = sys.stdout
-    if args.format == "csv":
-        grouped.to_csv(out)
-    elif args.format == "json":
-        grouped.to_json(out)
-    else:
-        summary = _summary_lines(args.s, args.n, grouped.p, grouped.i, grouped.e)
-        out.write("\n".join(summary) + "\n")
-        digits = ",".join(["%d"] * args.s)
-        for idx, (key, members) in enumerate(zip(grouped.keys, grouped.member_parts())):
-            row = " | ".join([digits % parts for parts in members])
-            out.write(f"class {idx} [g = {digits % key}] size {len(members)}: {row}\n")
+    write = {"csv": grouped.to_csv, "json": grouped.to_json}.get(args.format, grouped.to_text)
+    write(sys.stdout)
     return 0
 
 
 def _cmd_self_equivalent(args: argparse.Namespace) -> int:
     singles = self_equivalent(args.s, args.n)
     if args.format == "json":
-        payload = {
+        _write_json({
             "s": args.s,
             "n": args.n,
             "self_equivalent": [list(lam.parts) for lam in singles],
-        }
-        print(json.dumps(payload, indent=2))
+        })
     else:
         heading = f"self-equivalent in P({args.s},{args.n}): {len(singles)}"
         print("\n".join([heading, *map(str, singles)]))
@@ -241,61 +231,43 @@ def _cmd_self_equivalent(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     p, i, e = count_classes(args.s, args.n)
     if args.format == "json":
-        payload = {
-            "s": args.s,
-            "n": args.n,
-            "p": p,
-            "i": i,
-            "e": {str(size): count for size, count in e.items()},
-        }
-        print(json.dumps(payload, indent=2))
+        _write_json({"s": args.s, "n": args.n, **summary_json(p, i, e)})
     else:
-        print("\n".join(_summary_lines(args.s, args.n, p, i, e)))
+        print(summary_text(args.s, args.n, p, i, e))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_all(args.nmax)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _write_json(report.to_json_dict())
     else:
         print(report.to_text())
     return 0 if report.passed else 1
 
 
-_FIELD_FLAGS = (
+# The argument tuples that commands share, each declared once.
+_CHAR = (
     ("--char", dict(type=int, default=0, metavar="P",
                     help="field characteristic, 0 or a prime (default 0)")),
 )
+_ONE = (("partition", dict(help="comma-separated parts, e.g. 8,2,1")), *_CHAR)
+_PAIR = (("left", {}), ("right", {}), *_CHAR)
+_TABLE = (("s", dict(type=int)), ("n", dict(type=int)))
 
-# The argument shapes, each declared once, with the (name, help, handler)
-# rows that share it, in the order the help lists them.  Every subcommand
-# ends with --format; only classify also writes csv.
-_SHAPES = (
-    (
-        (("partition", dict(help="comma-separated parts, e.g. 8,2,1")), *_FIELD_FLAGS),
-        (("analyze", "all invariants of one partition", _cmd_analyze),),
-    ),
-    (
-        (("left", {}), ("right", {}), *_FIELD_FLAGS),
-        (
-            ("compare", "equivalence, isomorphism and Morita verdicts", _cmd_compare),
-            ("iso", "isomorphism verdict only", _cmd_iso),
-            ("morita", "Morita verdict only", _cmd_morita),
-        ),
-    ),
-    (
-        (("s", dict(type=int)), ("n", dict(type=int))),
-        (
-            ("classify", "equivalence classes of P(s,n)", _cmd_classify),
-            ("self-equivalent", "partitions alone in their class", _cmd_self_equivalent),
-            ("count", "p, i and e numbers of P(s,n)", _cmd_count),
-        ),
-    ),
-    (
-        (("--nmax", dict(type=int, default=10)),),
-        (("verify", "run the oracle cross-check sweep", _cmd_verify),),
-    ),
+# One (name, help, handler, arguments) row per subcommand, in the order the
+# help lists them.  Every subcommand ends with --format; only classify also
+# writes csv.
+_COMMANDS = (
+    ("analyze", "all invariants of one partition", _cmd_analyze, _ONE),
+    ("compare", "equivalence, isomorphism and Morita verdicts", _cmd_compare, _PAIR),
+    ("iso", "isomorphism verdict only", _cmd_iso, _PAIR),
+    ("morita", "Morita verdict only", _cmd_morita, _PAIR),
+    ("classify", "equivalence classes of P(s,n)", _cmd_classify, _TABLE),
+    ("self-equivalent", "partitions alone in their class", _cmd_self_equivalent, _TABLE),
+    ("count", "p, i and e numbers of P(s,n)", _cmd_count, _TABLE),
+    ("verify", "run the oracle cross-check sweep", _cmd_verify,
+     (("--nmax", dict(type=int, default=10)),)),
 )
 
 
@@ -305,14 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact partition invariants and fixed-matrix-algebra decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for arguments, rows in _SHAPES:
-        for name, help_text, handler in rows:
-            p = sub.add_parser(name, help=help_text)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            formats = ["text", "json", "csv"] if name == "classify" else ["text", "json"]
-            p.add_argument("--format", choices=formats, default="text")
-            p.set_defaults(handler=handler)
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        formats = ["text", "json", "csv"] if name == "classify" else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(handler=handler)
     return parser
 
 

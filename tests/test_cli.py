@@ -236,8 +236,10 @@ class TestDigitLimit:
             ["analyze", ",".join(["1"] * 2000), "--format", "json"],  # the upper bound
             ["analyze", f"{2**7300},{2**7301}"],  # the determinant
             ["iso", ",".join(["1"] * 15000), ",".join(["1"] * 15000)],  # the polynomial
+            # n has 4301 digits; the document is refused before any of it is written.
+            ["compare", ",".join(["9" * 4300] * 11), "1", "--format", "json"],
         ],
-        ids=["analyze-json", "analyze-text", "iso"],
+        ids=["analyze-json", "analyze-text", "iso", "compare-json"],
     )
     def test_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -292,6 +294,17 @@ class TestDigitLimit:
             assert (result.stdout, result.stderr) == ("", refusal)
         else:
             assert line in result.stdout.splitlines() and result.stderr == ""
+        assert peak_mib < 100
+
+    def test_json_document_is_not_held_whole(self):
+        # 6 000 ones a side make a JSON document of 32 MB, nearly all of it
+        # the two polynomials, whose C(5999, i) coefficients appear in their
+        # text and their lists.  Written in pieces, it is never also held as
+        # one string and as encoded bytes (the peak was 119 MiB when it was).
+        ones = ",".join(["1"] * 6000)
+        result, peak_mib = run_capped(["compare", ones, ones, "--format", "json"], timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert '  "isomorphic": true,' in result.stdout.splitlines()
         assert peak_mib < 100
 
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
@@ -650,7 +663,18 @@ class TestHarness:
         assert main(["--help"]) == 0
 
 
-COMMANDS = ["analyze", "compare", "iso", "morita", "classify", "self-equivalent", "count", "verify"]
+# Each command's usage line, in the order the help lists the commands.
+USAGE = {
+    "analyze": "[-h] [--char P] [--format {text,json}] partition",
+    "compare": "[-h] [--char P] [--format {text,json}] left right",
+    "iso": "[-h] [--char P] [--format {text,json}] left right",
+    "morita": "[-h] [--char P] [--format {text,json}] left right",
+    "classify": "[-h] [--format {text,json,csv}] s n",
+    "self-equivalent": "[-h] [--format {text,json}] s n",
+    "count": "[-h] [--format {text,json}] s n",
+    "verify": "[-h] [--nmax NMAX] [--format {text,json}]",
+}
+COMMANDS = list(USAGE)
 # One command of each argument shape.
 SHAPES = [
     ["analyze", "8,2,1"],
@@ -670,10 +694,11 @@ def run_module(*argv):
 
 class TestDeclaration:
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_subcommand_help(self, capsys, command):
+    def test_subcommand_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps usage at the terminal width
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
-        assert out.startswith(f"usage: partinv {command}")
+        assert out.splitlines()[0] == f"usage: partinv {command} {USAGE[command]}"
 
     def test_readme_flags_name_exactly_the_declared_options(self, capsys):
         declared = set()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -27,7 +28,14 @@ from partinv import (
 )
 from partinv.classify import MAX_CLASSIFY_SIZE, MAX_TABLE_CELLS, _size_lower_bound
 from partinv.cli import main
-from util import fraction_free_det, prime_quotients, reference_table_output
+from util import (
+    INDEFINITE,
+    digit_limit,
+    fraction_free_det,
+    prime_quotients,
+    reference_table_output,
+    upper_triangle,
+)
 
 
 def run(capsys, *argv):
@@ -105,16 +113,16 @@ class TestAnalyze:
         want = fraction_free_det([[math.gcd(a, b) for b in parts] for a in parts])
         assert f"\ngcd-matrix determinant: {want}\n" in out
 
-    def test_non_positive_pivot_is_a_consistency_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("rows,index,minor", INDEFINITE.values(), ids=INDEFINITE.keys())
+    def test_non_positive_pivot_is_a_consistency_error(self, capsys, monkeypatch, rows, index, minor):
         real = partinv.gcd_symm._positive_definite_det
-        indefinite = [[1, 2], [1]]  # [[1, 2], [2, 1]]: second leading minor -3
         monkeypatch.setattr(
-            partinv.gcd_symm, "_positive_definite_det", lambda upper: real(indefinite)
+            partinv.gcd_symm, "_positive_definite_det", lambda upper: real(upper_triangle(rows))
         )
         code, out, err = run(capsys, "analyze", "3,2,1")
         assert code == 3
         assert out == ""
-        assert "pivot 2 is -3" in err
+        assert f"pivot {index} is {minor}, expected positive" in err
 
 
 class TestCompare:
@@ -307,6 +315,51 @@ class TestDigitLimit:
         assert '  "isomorphic": true,' in result.stdout.splitlines()
         assert peak_mib < 100
 
+    # Both formats print the determinant's upper bound, prod(parts) - floor(s!/2):
+    # for the parts 1..k it is ceil(k!/2), of 640 digits at k = 310 and 642 at
+    # k = 311.  Under no limit, one part 10^640 is its own bound.
+    @pytest.mark.parametrize(
+        "limit,parts", [(640, range(1, 311)), (0, [10**640])], ids=["at-the-limit", "no-limit"]
+    )
+    def test_printable_determinant_bound_answers(self, capsys, limit, parts):
+        upper = math.prod(parts) - math.factorial(len(parts)) // 2
+        text, line = ",".join(map(str, parts)), f"<= det <= {upper}\n"
+        with digit_limit(limit):
+            code, out, err = run(capsys, "analyze", text)
+        assert (code, err) == (0, "")
+        assert line in out
+        assert limit == 0 or len(str(upper)) == limit
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_determinant_bound_is_refused_before_the_elimination(
+        self, capsys, monkeypatch, fmt
+    ):
+        def unreached(upper):
+            raise AssertionError("the elimination ran")
+
+        monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", unreached)
+        text = ",".join(map(str, range(1, 312)))
+        with digit_limit(640):
+            code, out, err = run(capsys, "analyze", text, "--format", fmt)
+        assert (code, out, err) == (4, "", "refused: a result has over 640 digits\n")
+
+    def test_unfactorable_part_is_refused_before_the_determinant_bound(self, capsys):
+        big = (2**89 - 1) * (10**17 + 3)  # no prime factor up to the trial bound
+        with digit_limit(640):
+            code, out, err = run(capsys, "analyze", ",".join(map(str, [big, *range(1, 312)])))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"refused: cannot factor {big}")
+
+    def test_unprintable_determinant_bound_is_refused_at_once(self):
+        # ceil(1559!/2) has 4303 digits; eliminating the 1559 parts would take
+        # minutes, and their h takes under a second.
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        result, _ = run_capped(["analyze", ",".join(map(str, range(1, 1560)))], timeout=30)
+        assert time.perf_counter() - start < 5
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == f"refused: a result has over {limit} digits\n"
+
     def test_other_value_errors_propagate(self, capsys, monkeypatch):
         from partinv import cli
 
@@ -460,6 +513,9 @@ def run_capped(argv, timeout):
     ``os.wait4`` reports as it reaps the command.  A process exec'd from the
     test run starts with the test run's own peak as its ``ru_maxrss``, so a
     small child forks the command, reaps it and writes the peak to a pipe.
+    Both run in a session of their own, and a timeout kills that whole
+    process group before ``subprocess.TimeoutExpired`` is raised, so the
+    command does not outlive its timeout.
     """
     child = (
         "import os, resource, sys\n"
@@ -476,13 +532,50 @@ def run_capped(argv, timeout):
     read_end, write_end = os.pipe()
     with os.fdopen(read_end, "rb") as peak:
         try:
-            result = subprocess.run(
+            helper = subprocess.Popen(
                 [sys.executable, "-c", child, str(write_end), *argv],
-                capture_output=True, text=True, timeout=timeout, env=env, pass_fds=(write_end,),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                pass_fds=(write_end,), start_new_session=True,
             )
         finally:
             os.close(write_end)
+        try:
+            out, err = helper.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(helper.pid, signal.SIGKILL)
+            helper.communicate()
+            raise
+        result = subprocess.CompletedProcess(helper.args, helper.returncode, out, err)
         return result, int(peak.read()) / 1024
+
+
+def _running(argv) -> list[int]:
+    """The pids of the processes whose command line carries ``argv``."""
+    needle = b"\0".join(arg.encode() for arg in argv) + b"\0"
+    pids = []
+    for entry in os.listdir("/proc"):
+        with contextlib.suppress(OSError):  # the process has gone, or is not a process
+            with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+                if needle in cmdline.read():
+                    pids.append(int(entry))
+    return pids
+
+
+def test_run_capped_timeout_leaves_no_process_behind():
+    # The elimination of 1..1000 takes many seconds; the forked command must
+    # die with the helper when the timeout fires.
+    argv = ["analyze", ",".join(map(str, range(1, 1001)))]
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
+            run_capped(argv, timeout=1)
+        deadline = time.monotonic() + 2  # for the kill to land
+        while _running(argv) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _running(argv) == []
+    finally:
+        for pid in _running(argv):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestTableBounds:

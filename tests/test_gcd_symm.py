@@ -23,7 +23,15 @@ from partinv import (
     power_norm,
     scale,
 )
-from util import all_partitions, fraction_free_det, prime_quotients, subset_gcd_sum
+from util import (
+    INDEFINITE,
+    all_partitions,
+    digit_limit,
+    fraction_free_det,
+    prime_quotients,
+    subset_gcd_sum,
+    upper_triangle,
+)
 
 naturals = st.integers(min_value=0, max_value=10**9)
 positives = st.integers(min_value=1, max_value=10**6)
@@ -309,10 +317,50 @@ class TestDeterminant:
         with pytest.raises(BoundExceededError, match="cannot factor"):
             gcd_matrix_det_and_bounds(Partition((big, 1)))
 
-    @pytest.mark.parametrize("upper", [[[1, 2], [1]], [[0, 1], [0]], [[2, 1, 1], [1, 1], [-1]]])
-    def test_non_positive_pivot_is_a_consistency_error(self, upper):
-        with pytest.raises(ConsistencyError, match="pivot"):
-            partinv.gcd_symm._positive_definite_det(upper)
+    def test_unprintable_bound_of_distinct_parts_is_refused(self, monkeypatch):
+        # One part is its own upper bound: 2^2126 has 640 digits, 10^640 has 641.
+        def refuse(upper_triangle):
+            raise AssertionError("the elimination ran on an unprintable bound")
+
+        with digit_limit(640):
+            assert gcd_matrix_det_and_bounds(Partition((2**2126,))).upper == 2**2126
+            monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", refuse)
+            with pytest.raises(BoundExceededError, match="a result has over 640 digits"):
+                gcd_matrix_det_and_bounds(Partition((10**640,)))
+
+    def test_unprintable_bound_of_repeated_parts_is_not_refused(self):
+        # there is no elimination to spare, and text output prints no bound
+        with digit_limit(640):
+            result = gcd_matrix_det_and_bounds(Partition((10**640, 10**640)))
+        assert (result.determinant, result.upper, result.distinct) == (0, 10**1280 - 1, False)
+
+    @pytest.mark.parametrize("rows,index,minor", INDEFINITE.values(), ids=INDEFINITE.keys())
+    def test_non_positive_pivot_is_a_consistency_error(self, rows, index, minor):
+        # the case names the first leading minor that is not positive
+        leading = [fraction_free_det([row[:k] for row in rows[:k]]) for k in range(1, index + 1)]
+        assert leading[-1] == minor and all(m > 0 for m in leading[:-1])
+        with pytest.raises(ConsistencyError, match=f"pivot {index} is {minor}, expected positive"):
+            partinv.gcd_symm._positive_definite_det(upper_triangle(rows))
+
+    def test_elimination_against_general_elimination(self):
+        # Every size up to 40 runs both parities of two-pivot passes; sets of
+        # 40 to 70 parts below 10^6 take the leading minors past the switch to
+        # one pivot per pass.  1..k and divisor sets are gcd-closed.
+        rng = random.Random(5)
+        crossing = [sorted(rng.sample(range(1, 10**6), s)) for s in (40, 55, 70)]
+        sets = [
+            *(rng.sample(range(1, 1001), s) for s in range(1, 41) for _ in range(2)),
+            *crossing,
+            *(range(1, k + 1) for k in (1, 2, 3, 50, 51, 120)),
+            *([d for d in range(1, m + 1) if m % d == 0] for m in (720, 5040, 27648, 30030)),
+        ]
+        for parts in sets:
+            parts = sorted(parts)
+            rows = [[math.gcd(a, b) for b in parts] for a in parts]
+            want = fraction_free_det([row[:] for row in rows])
+            assert partinv.gcd_symm._positive_definite_det(upper_triangle(rows)) == want, parts
+            if parts in crossing:
+                assert want.bit_length() > partinv.gcd_symm._PAIRED_PIVOT_BITS
 
     def test_lower_bound_factors_each_distinct_part_once(self, monkeypatch):
         calls = []

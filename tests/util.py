@@ -3,11 +3,13 @@ library internals wherever they serve as oracles."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import sys
 from typing import Iterator
 
 from partinv import (
@@ -129,6 +131,50 @@ def fraction_free_det(rows: list[list[int]]) -> int:
             row[k] = 0
         prev = pivot
     return sign * rows[size - 1][size - 1]
+
+
+# Symmetric matrices, each with the 1-based index and the value of its first
+# leading minor that is not positive.  The elimination of the gcd matrix takes
+# two pivots per pass while the last leading minor is short and one after, so
+# the cases fail at each place in a pass: the first and the second pivot of
+# the first pair, the second pivot of a later pair, an odd last pivot after two
+# pairs, and, once 2^300 * 2^300 has passed the switch, a one-pivot pass.
+INDEFINITE = {
+    "second-pivot": ([[1, 2], [2, 1]], 2, -3),
+    "first-pivot": ([[0, 1], [1, 0]], 1, 0),
+    "odd-last-pivot-of-three": ([[2, 1, 1], [1, 1, 1], [1, 1, -1]], 3, -2),
+    # the gcd matrix of 1, 2, 3, 4 with a_44 = 2
+    "second-pivot-of-a-later-pair": (
+        [[1, 1, 1, 1], [1, 2, 1, 2], [1, 1, 3, 1], [1, 2, 1, 2]], 4, 0
+    ),
+    # the gcd matrix of 1, 2, 3, 4, 6 with a_55 = 1
+    "odd-last-pivot": (
+        [[1, 1, 1, 1, 1], [1, 2, 1, 2, 2], [1, 1, 3, 1, 3], [1, 2, 1, 4, 2], [1, 2, 3, 2, 1]],
+        5,
+        -12,
+    ),
+    "after-the-switch": (
+        [[2**300, 0, 0, 0], [0, 2**300, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]], 4, -3 * 2**600
+    ),
+}
+
+
+def upper_triangle(rows: list[list[int]]) -> list[list[int]]:
+    """Row r of a symmetric matrix from the diagonal on, as
+    :func:`partinv.gcd_symm._positive_definite_det` takes it."""
+    return [list(row[r:]) for r, row in enumerate(rows)]
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run the block under ``sys.set_int_max_str_digits(limit)``; 640 is the
+    least limit Python accepts, and 0 means no limit."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

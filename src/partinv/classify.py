@@ -7,7 +7,13 @@ g-vector is a bijective transform of the h-vector, so grouping is an
 order-independent reduction keyed by the h-vector of each partition's
 gcd-closure; each class's h is mapped to its g-key once, and a final
 deterministic sort by g-key makes any evaluation order produce identical
-output.  Every table command is one guarded walk of P(s, n) that keeps only
+output.  The h-vector is derived from shares that depend on the distinct
+parts alone, and the walk keeps them for each set of distinct parts that it
+meets under the current first part: partitions with the same distinct parts
+have the same first part, and the walk meets each first part in one
+stretch, so nothing kept for an earlier first part is met again, and every
+later partition with those distinct parts only counts its divisible parts.
+Every table command is one guarded walk of P(s, n) that keeps only
 what it reports: ``classify`` each partition's parts and class id, in walk
 order, and one g-key per class; ``self_equivalent`` each class's first parts
 and its size; and ``count_classes`` the class sizes alone.  A classification
@@ -210,9 +216,14 @@ def _walk(s: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             f"P({s},{n}) holds {s * expected} parts, above the limit {MAX_TABLE_CELLS}"
         )
     classified = 0
+    # The shares of each set of distinct parts, for the current first part
+    # only (see the module docstring).
+    first, known = 0, {}
     for parts in _descending(n, s):
         classified += 1
-        yield parts, _closure_h(parts)
+        if parts[0] != first:
+            first, known = parts[0], {}
+        yield parts, _closure_h(parts, known)
     if classified != expected:
         raise ConsistencyError(
             f"classified {classified} partitions of P({s},{n}), expected {expected}"

@@ -27,7 +27,7 @@ from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
 from .partition_poly import PartitionPolynomial, equivalent
-from .partitions import Partition, parse_partition
+from .partitions import Partition, _int, parse_partition
 
 
 def _write_json(payload: dict) -> None:
@@ -248,12 +248,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # The argument tuples that commands share, each declared once.
 _CHAR = (
-    ("--char", dict(type=int, default=0, metavar="P",
+    ("--char", dict(type=_int, default=0, metavar="P",
                     help="field characteristic, 0 or a prime (default 0)")),
 )
 _ONE = (("partition", dict(help="comma-separated parts, e.g. 8,2,1")), *_CHAR)
 _PAIR = (("left", {}), ("right", {}), *_CHAR)
-_TABLE = (("s", dict(type=int)), ("n", dict(type=int)))
+_TABLE = (("s", dict(type=_int)), ("n", dict(type=_int)))
 
 # One (name, help, handler, arguments) row per subcommand, in the order the
 # help lists them.  Every subcommand ends with --format; only classify also
@@ -267,7 +267,7 @@ _COMMANDS = (
     ("self-equivalent", "partitions alone in their class", _cmd_self_equivalent, _TABLE),
     ("count", "p, i and e numbers of P(s,n)", _cmd_count, _TABLE),
     ("verify", "run the oracle cross-check sweep", _cmd_verify,
-     (("--nmax", dict(type=int, default=10)),)),
+     (("--nmax", dict(type=_int, default=10)),)),
 )
 
 
@@ -294,13 +294,13 @@ _PARSER = _build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        # An integer argument past the digit limit is refused (exit 4) here.
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at exit
         return code
+    except SystemExit as exc:  # from argparse alone: help, or a usage error
+        return 0 if exc.code in (0, None) else 2
     except BrokenPipeError:
         # The reader is gone.  Point fd 1 at the null device, so that the
         # flush at interpreter exit has somewhere to write.

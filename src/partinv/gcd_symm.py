@@ -22,6 +22,9 @@ parts d divides gives, in increasing order of v,
 and f(v) is added to h_i for i = number of parts (with multiplicity)
 divisible by v.  Then g_i = sum_j C(j, i) h_j.  No factorization is needed,
 and the closure is never larger than the sets of subset gcds of each size.
+The closure and its shares f depend on the distinct parts alone, so a walk
+over many partitions can keep them per set of distinct parts and count only
+the divisible parts for each partition (see :mod:`partinv.classify`).
 The triangular divisor matrix of pairwise gcds (the strict upper triangle
 of the gcd matrix) ties g_{i+1} to the norm of its i-th power, and the full
 gcd matrix carries the dimension data of the fixed-matrix algebra.  All
@@ -95,9 +98,19 @@ class HVector(_Vector):
 _CLOSURE_BUDGET = 4096
 
 
-def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
+def _closure_h(
+    parts: tuple[int, ...], known: dict[tuple[int, ...], list[tuple[int, int]]] | None = None
+) -> tuple[int, ...]:
     """h_1..h_s from the gcd-closure of the weakly decreasing parts (see the
-    module docstring)."""
+    module docstring).
+
+    ``known``, when given, maps a tuple of distinct parts to the increasing
+    (closure element, share) pairs derived for it.  A partition found there
+    only counts the parts each element divides, and one derived here is
+    added.  Only partitions with at least two parts beyond their distinct
+    ones are looked up: with fewer, s and n force the multiplicities, so no
+    other partition with the same s and n has the same distinct parts.
+    """
     s = len(parts)
     runs: list[tuple[int, int]] = []  # (part, multiplicity), parts decreasing
     start = 0
@@ -107,13 +120,27 @@ def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
             end += 1
         runs.append((part, end - start))
         start = end
+    h = [0] * (s + 1)
+    key = None
+    if known is not None and len(runs) <= s - 2:
+        key = tuple([part for part, _ in runs])
+        shares = known.get(key)
+        if shares is not None:
+            for v, share in shares:
+                divisible = 0
+                for part, m in runs:
+                    if part < v:
+                        break
+                    if not part % v:
+                        divisible += m
+                h[divisible] += share
+            return tuple(h[1:])
     closure: set[int] = set()
     for part, _ in runs:
         closure |= {math.gcd(part, v) for v in closure}
         closure.add(part)
         if len(closure) > _CLOSURE_BUDGET:
             raise BoundExceededError(f"the gcd-closure has more than {_CLOSURE_BUDGET} elements")
-    h = [0] * (s + 1)
     below: list[tuple[int, int]] = []
     for v in sorted(closure):
         share = v
@@ -128,6 +155,8 @@ def _closure_h(parts: tuple[int, ...]) -> tuple[int, ...]:
             if not part % v:
                 divisible += m
         h[divisible] += share
+    if key is not None:
+        known[key] = below
     return tuple(h[1:])
 
 

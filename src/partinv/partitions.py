@@ -9,11 +9,12 @@ they are not fields, so equality, hash, order and repr read the parts alone.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Iterator
 from functools import cached_property, total_ordering
 
 from ._record import Record
-from .errors import InputError
+from .errors import BoundExceededError, InputError
 from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
 from .partition_poly import PartitionPolynomial, _polynomial
 
@@ -85,7 +86,8 @@ def parse_partition(text: str) -> Partition:
 
     Whitespace around tokens is ignored; the result is canonically sorted in
     weakly decreasing order.  Raises :class:`InputError` naming the first
-    offending token.
+    offending token, or, as :func:`_int` does, :class:`BoundExceededError`
+    for a part past the digit limit.
     """
     if text.strip() == "":
         raise InputError("empty partition")
@@ -93,13 +95,30 @@ def parse_partition(text: str) -> Partition:
     for token in text.split(","):
         token = token.strip()
         try:
-            value = int(token)
+            value = _int(token)
         except ValueError:
             raise InputError(f"not an integer: {token!r}") from None
         if value < 1:
             raise InputError(f"part must be positive: {token!r}")
         values.append(value)
     return Partition.of(*values)
+
+
+def _int(token: str) -> int:
+    """``int(token)``, but an integer of more digits than
+    ``sys.get_int_max_str_digits()`` allows is refused with
+    :class:`BoundExceededError`, whose message does not echo the token."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+    raise BoundExceededError(f"an input integer has over {sys.get_int_max_str_digits()} digits")
+
+
+# The CLI gives _int to argparse as the type of its integer arguments, and
+# argparse names that type in its "invalid int value" message.
+_int.__name__ = "int"
 
 
 def _descending(n: int, s: int) -> Iterator[tuple[int, ...]]:

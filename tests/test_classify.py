@@ -202,6 +202,38 @@ class TestWalk:
         )
 
 
+class TestSharedShares:
+    # The walk keeps the gcd-closure shares of each distinct-part set for the
+    # current first part, and reuses them for the partitions that repeat it.
+    def test_every_h_is_the_partitions_own(self):
+        tables = [(s, n) for n in range(1, 25) for s in range(1, n + 1)] + [(12, 36)]
+        for s, n in tables:
+            for parts, h in classify_module._walk(s, n):
+                assert h == Partition(parts).h.values, parts
+
+    @pytest.mark.parametrize("s,n", [(12, 36), (7, 30), (3, 60), (2, 40)])
+    def test_shares_are_kept_for_the_current_first_part_only(self, monkeypatch, s, n):
+        real = classify_module._closure_h
+        walked, reused = [], 0
+
+        def spy(parts, known):
+            nonlocal reused
+            assert all(key[0] == parts[0] for key in known), parts
+            # No two partitions of P(2, n) or P(3, n) share their distinct
+            # parts.  Only (k, k, k) in P(3, 3k) is looked up, and it is the
+            # last partition with its first part.
+            assert s > 3 or not known, parts
+            walked.append(parts)
+            reused += tuple(dict.fromkeys(parts)) in known
+            return real(parts, known)
+
+        monkeypatch.setattr(classify_module, "_closure_h", spy)
+        count_classes(s, n)
+        # Every partition whose distinct parts an earlier one had is reused.
+        assert reused == len(walked) - len(set(map(frozenset, walked)))
+        assert reused > 0 or s <= 3
+
+
 class TestSelfEquivalent:
     def test_three_part_nine(self):
         got = [lam.parts for lam in self_equivalent(3, 9)]

@@ -255,6 +255,37 @@ class TestDigitLimit:
         assert out == ""
         assert err.startswith("refused: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "BIG"],
+            ["analyze", "8,BIG,1", "--format", "json"],
+            ["compare", "4,1", "BIG"],
+            ["iso", "BIG", "5"],
+            ["morita", "5", "BIG"],
+            ["count", "2", "BIG"],
+            ["count", "-BIG", "3"],
+            ["classify", "BIG", "3"],
+            ["self-equivalent", "3", "BIG"],
+            ["analyze", "4,1", "--char", "BIG"],
+            ["compare", "4,1", "5", "--char", "BIG"],
+            ["verify", "--nmax", "BIG"],
+        ],
+        ids=lambda argv: "-".join(arg.replace("BIG", "big") for arg in argv),
+    )
+    def test_integer_arguments_past_the_limit_are_refused(self, capsys, argv):
+        # A part, s, n, --char or --nmax of 641 digits is a refused bound,
+        # not bad input, and the one stderr line does not echo it.
+        big = "1" + "0" * 640
+        with digit_limit(640):
+            code, out, err = run(capsys, *[arg.replace("BIG", big) for arg in argv])
+        assert (code, out, err) == (4, "", "refused: an input integer has over 640 digits\n")
+
+    def test_a_non_integer_argument_is_still_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "x", "3")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument s: invalid int value: 'x'\n")
+
     def test_unprintable_g_vector_is_refused_before_it_is_derived(self):
         # C(60000, 30000) has over 18000 digits, so g does too.  Deriving g
         # and the polynomial before the print would fill the 512 MiB.

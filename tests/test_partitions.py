@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from partinv import (
+    BoundExceededError,
     InputError,
     Partition,
     concat,
@@ -11,7 +12,7 @@ from partinv import (
     parse_partition,
     scale,
 )
-from util import all_partitions, conjugate, exact_partitions
+from util import all_partitions, conjugate, digit_limit, exact_partitions
 
 partitions_strategy = st.lists(
     st.integers(min_value=1, max_value=40), min_size=1, max_size=10
@@ -74,6 +75,13 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(InputError):
             parse_partition("  ")
+
+    def test_a_part_past_the_digit_limit_is_refused(self):
+        # A resource bound, not bad input, and the message does not echo it.
+        with digit_limit(640):
+            assert parse_partition("9" * 640 + ",1").parts == (10**640 - 1, 1)
+            with pytest.raises(BoundExceededError, match="^an input integer has over 640 digits$"):
+                parse_partition("1," + "9" * 641)
 
     @given(partitions_strategy)
     def test_round_trip(self, lam):

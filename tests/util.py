@@ -179,7 +179,8 @@ def digit_limit(limit):
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:  # a raise, not an assert, which python -O would strip here
+        raise ValueError(f"cannot multiply {n} x {len(a[0])} by {k} x {m}")
     return [[sum(a[i][p] * b[p][j] for p in range(k)) for j in range(m)] for i in range(n)]
 
 

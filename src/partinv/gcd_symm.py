@@ -277,12 +277,12 @@ _TRIAL_BOUND = 10**6
 def _prime_factors(m: int) -> set[int]:
     """The distinct prime factors of m >= 1.
 
-    By trial division up to ``_TRIAL_BOUND``.  A cofactor above that bound
-    and below psi_13 that :func:`is_prime` accepts is the last factor; it is
-    tested before the division starts and after each factor is divided out,
-    so a large prime is never trial-divided.  Any other cofactor left with
-    no divisor up to the bound, one at or above psi_13 included, is refused
-    with :class:`BoundExceededError`.
+    By trial division by 2 and the odd numbers up to ``_TRIAL_BOUND``.  A
+    cofactor above that bound and below psi_13 that :func:`is_prime` accepts
+    is the last factor; it is tested before the division starts and after
+    each factor is divided out, so a large prime is never trial-divided.
+    Any other cofactor left with no divisor up to the bound, one at or above
+    psi_13 included, is refused with :class:`BoundExceededError`.
     """
     factors = set()
     p = 2
@@ -293,7 +293,7 @@ def _prime_factors(m: int) -> set[int]:
             while m % p == 0:
                 m //= p
             last = _TRIAL_BOUND < m < _WITNESS_BOUND and is_prime(m)
-        p += 1
+        p += 1 if p == 2 else 2
     if not last and p * p <= m:
         raise BoundExceededError(
             f"cannot factor {m}: it has no prime factor up to {_TRIAL_BOUND}"
@@ -314,48 +314,53 @@ def euler_phi(m: int) -> int:
     return result
 
 
-# Two pivots per pass update half as many entries as one, but multiply
-# entries about twice as long.  Once the last leading minor reaches this
-# many bits the longer products cost more than the saved updates (pairing
-# to the end took 1.07x the one-pivot time on 150 random parts below 10^6
-# and 1.17x on 120 below 10^12), so the rest takes one pivot per pass.
-_PAIRED_PIVOT_BITS = 512
-
-
 def _positive_definite_det(upper: list[list[int]]) -> int:
     # Bareiss with no row exchange over the upper triangle (upper[r] is row r
-    # from the diagonal on).  Entries are minors, so divisions are exact and
-    # stay symmetric; pivots are leading minors, positive on definite input.
-    # A pass with pivots p = a_kk, r = a_k+1,k+1 and q = a_k,k+1 takes each
-    # a_ij below them to (D a_ij + alpha_i a_k+1,j + beta_i a_kj) / prev^2
-    # (Sylvester's identity), where D = pr - q^2, alpha_i = q a_ki - p a_k+1,i
-    # and beta_i = q a_k+1,i - r a_ki; the leading minor after p is D / prev.
+    # from the diagonal on), three pivots per pass.  Entries are minors, so
+    # divisions are exact and stay symmetric; pivots are leading minors,
+    # positive on definite input.  By Sylvester's identity every t x t minor
+    # of the rows and columns not yet eliminated is divisible by prev^(t-1),
+    # where prev is the last leading minor.  So the pivot block
+    # P = [[p, q, u], [q, r, v], [u, v, t]] has cofactors c = adj(P) / prev
+    # (c22 is the leading minor after p) and d = det(P) / prev^2 is the one
+    # after t.  Row i below takes the weights w_i = (a_ik, a_i,k+1, a_i,k+2) c
+    # / prev, and each a_ij becomes (d a_ij - w_i . (a_kj, a_k+1,j, a_k+2,j))
+    # / prev, so no product is longer than two minors.  One or two rows left
+    # at the end need no update: their leading minor is the determinant.
     size = len(upper)
     prev, k = 1, 0
     while k < size:
         lead = upper[k]
-        pivot = lead[0]
-        if pivot <= 0:
-            raise ConsistencyError(f"gcd matrix pivot {k + 1} is {pivot}, expected positive")
-        if k + 1 < size and prev.bit_length() < _PAIRED_PIVOT_BITS:
-            q, after = lead[1], upper[k + 1]
-            r = after[0]
-            cross = pivot * r - q * q
-            minor = cross // prev
-            if minor <= 0:
-                raise ConsistencyError(f"gcd matrix pivot {k + 2} is {minor}, expected positive")
-            square = prev * prev
-            for i in range(2, size - k):
-                a, b = lead[i], after[i - 1]
-                alpha, beta = q * a - pivot * b, q * b - r * a
-                rows = zip(upper[k + i], after[i - 1 :], lead[i:])
-                upper[k + i] = [(cross * z + alpha * y + beta * x) // square for z, y, x in rows]
-            prev, k = minor, k + 2
-        else:
-            for j, factor in enumerate(lead[1:], start=1):
-                pairs = zip(upper[k + j], lead[j:])
-                upper[k + j] = [(pivot * a - factor * b) // prev for a, b in pairs]
-            prev, k = pivot, k + 1
+        p = lead[0]
+        if p <= 0:
+            raise ConsistencyError(f"gcd matrix pivot {k + 1} is {p}, expected positive")
+        if k + 1 == size:
+            return p
+        mid = upper[k + 1]
+        q, r = lead[1], mid[0]
+        c22 = (p * r - q * q) // prev
+        if c22 <= 0:
+            raise ConsistencyError(f"gcd matrix pivot {k + 2} is {c22}, expected positive")
+        if k + 2 == size:
+            return c22
+        last = upper[k + 2]
+        u, v, t = lead[2], mid[1], last[0]
+        c00 = (r * t - v * v) // prev
+        c01 = (u * v - q * t) // prev
+        c02 = (q * v - r * u) // prev
+        c11 = (p * t - u * u) // prev
+        c12 = (q * u - p * v) // prev
+        d = (p * c00 + q * c01 + u * c02) // prev
+        if d <= 0:
+            raise ConsistencyError(f"gcd matrix pivot {k + 3} is {d}, expected positive")
+        for i in range(3, size - k):
+            x, y, z = lead[i], mid[i - 1], last[i - 2]
+            w0 = (x * c00 + y * c01 + z * c02) // prev
+            w1 = (x * c01 + y * c11 + z * c12) // prev
+            w2 = (x * c02 + y * c12 + z * c22) // prev
+            rows = zip(upper[k + i], lead[i:], mid[i - 1 :], last[i - 2 :])
+            upper[k + i] = [(d * a - w0 * e - w1 * f - w2 * g) // prev for a, e, f, g in rows]
+        prev, k = d, k + 3
     return prev
 
 

@@ -343,9 +343,10 @@ class TestDeterminant:
             partinv.gcd_symm._positive_definite_det(upper_triangle(rows))
 
     def test_elimination_against_general_elimination(self):
-        # Every size up to 40 runs both parities of two-pivot passes; sets of
-        # 40 to 70 parts below 10^6 take the leading minors past the switch to
-        # one pivot per pass.  1..k and divisor sets are gcd-closed.
+        # The sizes 1 to 40 cover every remainder mod 3, so every pass ends
+        # with zero, one or two rows left; sets of 40 to 70 parts below 10^6
+        # run three-pivot passes on minors past 512 bits.  1..k and divisor
+        # sets are gcd-closed.
         rng = random.Random(5)
         crossing = [sorted(rng.sample(range(1, 10**6), s)) for s in (40, 55, 70)]
         sets = [
@@ -360,7 +361,7 @@ class TestDeterminant:
             want = fraction_free_det([row[:] for row in rows])
             assert partinv.gcd_symm._positive_definite_det(upper_triangle(rows)) == want, parts
             if parts in crossing:
-                assert want.bit_length() > partinv.gcd_symm._PAIRED_PIVOT_BITS
+                assert want.bit_length() > 512
 
     def test_lower_bound_factors_each_distinct_part_once(self, monkeypatch):
         calls = []
@@ -375,6 +376,24 @@ class TestDeterminant:
         assert sorted(calls) == [1, 9, 12]
         assert result.lower == 4**3 * 6**2 * 1
         assert not result.distinct
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            *(pytest.param(range(1, k + 1), id=f"1..{k}") for k in (*range(1, 61), 100, 200, 300)),
+            *(
+                pytest.param([d for d in range(1, m + 1) if m % d == 0], id=f"divisors-of-{m}")
+                for m in (720, 5040, 27648, 30030)
+            ),
+        ],
+    )
+    def test_factor_closed_parts_against_the_totient_product(self, parts):
+        # Smith 1875: when every divisor of a part is a part (1..k, or the
+        # divisors of m) the determinant is the product of the totients of
+        # the parts.  The totient is counted here, neither eliminated nor
+        # factored.
+        want = math.prod(sum(math.gcd(j, i) == 1 for j in range(1, i + 1)) for i in parts)
+        assert gcd_matrix_det_and_bounds(Partition.of(*parts)).determinant == want
 
     def test_bounds_for_distinct_parts(self):
         for lam in all_partitions(16):
@@ -403,6 +422,21 @@ class TestEulerPhi:
     def test_refuses_what_is_not_an_int(self, m):
         with pytest.raises(InputError, match="positive integer"):
             euler_phi(m)
+
+    def test_prime_factors_agree_with_a_sieve_up_to_10_to_the_5(self):
+        limit = 10**5
+        least = list(range(limit + 1))  # least[m] is the least prime factor of m
+        for p in range(2, math.isqrt(limit) + 1):
+            if least[p] == p:
+                for q in range(p * p, limit + 1, p):
+                    if least[q] == q:
+                        least[q] = p
+        for m in range(1, limit + 1):
+            want, rest = set(), m
+            while rest > 1:
+                want.add(least[rest])
+                rest //= least[rest]
+            assert partinv.gcd_symm._prime_factors(m) == want, m
 
     def test_large_primes_are_not_trial_divided(self):
         rng = random.Random(1)

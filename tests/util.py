@@ -135,10 +135,12 @@ def fraction_free_det(rows: list[list[int]]) -> int:
 
 # Symmetric matrices, each with the 1-based index and the value of its first
 # leading minor that is not positive.  The elimination of the gcd matrix takes
-# two pivots per pass while the last leading minor is short and one after, so
-# the cases fail at each place in a pass: the first and the second pivot of
-# the first pair, the second pivot of a later pair, an odd last pivot after two
-# pairs, and, once 2^300 * 2^300 has passed the switch, a one-pivot pass.
+# three pivots per pass and reads the leading minor of one or two rows left at
+# the end without a pass, so the cases fail at each place: the first, second
+# and third pivot of the first pass, the third pivot of a later pass, and the
+# only or the second of the rows left after a pass, the only one once with a
+# last leading minor of 2^600.  The ids of the first six date from passes of
+# two pivots each.
 INDEFINITE = {
     "second-pivot": ([[1, 2], [2, 1]], 2, -3),
     "first-pivot": ([[0, 1], [1, 0]], 1, 0),
@@ -155,6 +157,19 @@ INDEFINITE = {
     ),
     "after-the-switch": (
         [[2**300, 0, 0, 0], [0, 2**300, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]], 4, -3 * 2**600
+    ),
+    # the gcd matrix of 1..6 with a_66 = 4: leading minors 1, 1, 2, 4, 16, 0
+    "third-pivot-of-a-later-pass": (
+        [
+            [1, 1, 1, 1, 1, 1],
+            [1, 2, 1, 2, 1, 2],
+            [1, 1, 3, 1, 1, 3],
+            [1, 2, 1, 4, 1, 2],
+            [1, 1, 1, 1, 5, 1],
+            [1, 2, 3, 2, 1, 4],
+        ],
+        6,
+        0,
     ),
 }
 

@@ -7,12 +7,9 @@ g-vector is a bijective transform of the h-vector, so grouping is an
 order-independent reduction keyed by the h-vector of each partition's
 gcd-closure; each class's h is mapped to its g-key once, and a final
 deterministic sort by g-key makes any evaluation order produce identical
-output.  The h-vector is derived from shares that depend on the distinct
-parts alone, and the walk keeps them for each set of distinct parts that it
-meets under the current first part: partitions with the same distinct parts
-have the same first part, and the walk meets each first part in one
-stretch, so nothing kept for an earlier first part is met again, and every
-later partition with those distinct parts only counts its divisible parts.
+output.  The h-vector is derived from gcd-closure shares that depend on
+the distinct parts alone, and the walk keeps them while it may meet those
+distinct parts again (see :func:`_walk`).
 Every table command is one guarded walk of P(s, n) that keeps only
 what it reports: ``classify`` each partition's parts and class id, in walk
 order, and one g-key per class; ``self_equivalent`` each class's first parts
@@ -31,7 +28,7 @@ from functools import cached_property
 
 from ._record import Record
 from .errors import BoundExceededError, ConsistencyError, InputError
-from .gcd_symm import _closure_h, _g_from_h
+from .gcd_symm import _closure_h, _closure_shares, _g_from_h
 from .partitions import Partition, _descending, count_partitions
 
 TYPE_CHECKING = False
@@ -216,14 +213,26 @@ def _walk(s: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
             f"P({s},{n}) holds {s * expected} parts, above the limit {MAX_TABLE_CELLS}"
         )
     classified = 0
-    # The shares of each set of distinct parts, for the current first part
-    # only (see the module docstring).
-    first, known = 0, {}
+    # The shares of each tuple of distinct parts, for the current first part
+    # only: partitions with the same distinct parts share their first part,
+    # met in one stretch.  A partition with fewer than two parts beyond its
+    # distinct ones is not looked up: s and n force its multiplicities, so
+    # no other partition of P(s, n) has its distinct parts.
+    first, kept = 0, {}
+
+    def shares_of(distinct: tuple[int, ...]) -> list[tuple[int, int]]:
+        if len(distinct) > s - 2:
+            return _closure_shares(distinct)
+        if distinct not in kept:
+            kept[distinct] = _closure_shares(distinct)
+        return kept[distinct]
+
     for parts in _descending(n, s):
         classified += 1
         if parts[0] != first:
-            first, known = parts[0], {}
-        yield parts, _closure_h(parts, known)
+            first = parts[0]
+            kept.clear()
+        yield parts, _closure_h(parts, shares_of)
     if classified != expected:
         raise ConsistencyError(
             f"classified {classified} partitions of P({s},{n}), expected {expected}"

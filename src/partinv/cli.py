@@ -24,6 +24,7 @@ from .algebra import (
 from .classify import classify as classify_partitions
 from .classify import count_classes, self_equivalent, summary_json, summary_text
 from .errors import BoundExceededError, ConsistencyError, InputError
+from .errors import digit_limit_error, refuse_unprintable
 from .gcd_symm import gcd_matrix_det_and_bounds
 from .oracles import verify_all
 from .partition_poly import PartitionPolynomial, equivalent
@@ -49,13 +50,10 @@ def _refuse_unprintable_g(s: int) -> None:
     cannot write in decimal (see the ``ValueError`` handler in :func:`main`).
 
     Every i-subset gcd is a multiple of g_s >= 1, so g_i >= C(s, i), and
-    C(s, floor(s/2)) >= 2^s/(s+1).  Once that reaches 10^L, where L is the
-    digit limit, g has an entry of over L digits.  As 10^L > 8^L, no s up
-    to 3L reaches it, and those skip the big powers.
+    C(s, floor(s/2)) >= 2^s/(s+1): g has an entry of at least
+    floor(2^s/(s+1)).
     """
-    limit = sys.get_int_max_str_digits()
-    if limit and s > 3 * limit and 1 << s >= (s + 1) * 10**limit:
-        raise BoundExceededError(f"a result has over {limit} digits")
+    refuse_unprintable((1 << s) // (s + 1))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -320,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # an int past sys.get_int_max_str_digits() in decimal
         if "integer string conversion" not in str(exc):
             raise
-        print(f"refused: a result has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        print(f"refused: {digit_limit_error()}", file=sys.stderr)
         return 4
 
 

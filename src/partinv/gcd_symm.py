@@ -22,9 +22,6 @@ parts d divides gives, in increasing order of v,
 and f(v) is added to h_i for i = number of parts (with multiplicity)
 divisible by v.  Then g_i = sum_j C(j, i) h_j.  No factorization is needed,
 and the closure is never larger than the sets of subset gcds of each size.
-The closure and its shares f depend on the distinct parts alone, so a walk
-over many partitions can keep them per set of distinct parts and count only
-the divisible parts for each partition (see :mod:`partinv.classify`).
 The triangular divisor matrix of pairwise gcds (the strict upper triangle
 of the gcd matrix) ties g_{i+1} to the norm of its i-th power, and the full
 gcd matrix carries the dimension data of the fixed-matrix algebra.  All
@@ -34,14 +31,15 @@ arithmetic is exact; no floating point.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 
 from ._record import Record
-from .errors import BoundExceededError, ConsistencyError, InputError
+from .errors import BoundExceededError, ConsistencyError, InputError, refuse_unprintable
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .partitions import Partition
 
 
@@ -98,19 +96,28 @@ class HVector(_Vector):
 _CLOSURE_BUDGET = 4096
 
 
-def _closure_h(
-    parts: tuple[int, ...], known: dict[tuple[int, ...], list[tuple[int, int]]] | None = None
-) -> tuple[int, ...]:
-    """h_1..h_s from the gcd-closure of the weakly decreasing parts (see the
-    module docstring).
+def _closure_shares(distinct: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (closure element v, share f(v)) pairs of the gcd-closure of the
+    distinct parts, in increasing order of v (see the module docstring)."""
+    closure: set[int] = set()
+    for part in distinct:
+        closure |= {math.gcd(part, v) for v in closure}
+        closure.add(part)
+        if len(closure) > _CLOSURE_BUDGET:
+            raise BoundExceededError(f"the gcd-closure has more than {_CLOSURE_BUDGET} elements")
+    shares: list[tuple[int, int]] = []
+    for v in sorted(closure):
+        share = v
+        for w, f in shares:
+            if not v % w:
+                share -= f
+        shares.append((v, share))
+    return shares
 
-    ``known``, when given, maps a tuple of distinct parts to the increasing
-    (closure element, share) pairs derived for it.  A partition found there
-    only counts the parts each element divides, and one derived here is
-    added.  Only partitions with at least two parts beyond their distinct
-    ones are looked up: with fewer, s and n force the multiplicities, so no
-    other partition with the same s and n has the same distinct parts.
-    """
+
+def _closure_h(parts: tuple[int, ...], shares_of: Callable = _closure_shares) -> tuple[int, ...]:
+    """h_1..h_s of the weakly decreasing parts: h_i sums the shares f(v), from
+    ``shares_of`` of the distinct parts, of the v dividing exactly i parts."""
     s = len(parts)
     runs: list[tuple[int, int]] = []  # (part, multiplicity), parts decreasing
     start = 0
@@ -121,33 +128,7 @@ def _closure_h(
         runs.append((part, end - start))
         start = end
     h = [0] * (s + 1)
-    key = None
-    if known is not None and len(runs) <= s - 2:
-        key = tuple([part for part, _ in runs])
-        shares = known.get(key)
-        if shares is not None:
-            for v, share in shares:
-                divisible = 0
-                for part, m in runs:
-                    if part < v:
-                        break
-                    if not part % v:
-                        divisible += m
-                h[divisible] += share
-            return tuple(h[1:])
-    closure: set[int] = set()
-    for part, _ in runs:
-        closure |= {math.gcd(part, v) for v in closure}
-        closure.add(part)
-        if len(closure) > _CLOSURE_BUDGET:
-            raise BoundExceededError(f"the gcd-closure has more than {_CLOSURE_BUDGET} elements")
-    below: list[tuple[int, int]] = []
-    for v in sorted(closure):
-        share = v
-        for w, f in below:
-            if not v % w:
-                share -= f
-        below.append((v, share))
+    for v, share in shares_of(tuple([part for part, _ in runs])):
         divisible = 0
         for part, m in runs:
             if part < v:
@@ -155,8 +136,6 @@ def _closure_h(
             if not part % v:
                 divisible += m
         h[divisible] += share
-    if key is not None:
-        known[key] = below
     return tuple(h[1:])
 
 
@@ -401,10 +380,7 @@ def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
     upper = math.prod(lam.parts) - math.factorial(lam.s) // 2
     det = 0
     if distinct:
-        limit = sys.get_int_max_str_digits()
-        # 10^L > 2^(3L), so a bound of at most 3L bits skips the big power.
-        if limit and upper.bit_length() > 3 * limit and upper >= 10**limit:
-            raise BoundExceededError(f"a result has over {limit} digits")
+        refuse_unprintable(upper)
         parts = sorted(counts)
         gcds = [[math.gcd(a, b) for b in parts[i:]] for i, a in enumerate(parts)]
         det = _positive_definite_det(gcds)

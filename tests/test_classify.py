@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import weakref
 
 import pytest
 
@@ -213,25 +214,29 @@ class TestSharedShares:
 
     @pytest.mark.parametrize("s,n", [(12, 36), (7, 30), (3, 60), (2, 40)])
     def test_shares_are_kept_for_the_current_first_part_only(self, monkeypatch, s, n):
-        real = classify_module._closure_h
-        walked, reused = [], 0
+        real = classify_module._closure_shares
+        derived = []  # (distinct parts, a weak reference to their shares)
 
-        def spy(parts, known):
-            nonlocal reused
-            assert all(key[0] == parts[0] for key in known), parts
+        class Shares(list):  # a list that a weak reference can point to
+            pass
+
+        def spy(distinct):
+            alive = [kept for kept, ref in derived if ref() is not None]
+            assert all(kept[0] == distinct[0] for kept in alive), distinct
             # No two partitions of P(2, n) or P(3, n) share their distinct
             # parts.  Only (k, k, k) in P(3, 3k) is looked up, and it is the
             # last partition with its first part.
-            assert s > 3 or not known, parts
-            walked.append(parts)
-            reused += tuple(dict.fromkeys(parts)) in known
-            return real(parts, known)
+            assert s > 3 or not alive, distinct
+            shares = Shares(real(distinct))
+            derived.append((distinct, weakref.ref(shares)))
+            return shares
 
-        monkeypatch.setattr(classify_module, "_closure_h", spy)
-        count_classes(s, n)
-        # Every partition whose distinct parts an earlier one had is reused.
-        assert reused == len(walked) - len(set(map(frozenset, walked)))
-        assert reused > 0 or s <= 3
+        monkeypatch.setattr(classify_module, "_closure_shares", spy)
+        walked = [tuple(dict.fromkeys(parts)) for parts, _ in classify_module._walk(s, n)]
+        # Each distinct-part set is derived once, when the walk first meets it.
+        assert [distinct for distinct, _ in derived] == list(dict.fromkeys(walked))
+        assert len(derived) < len(walked) or s <= 3
+        assert all(ref() is None for _, ref in derived)
 
 
 class TestSelfEquivalent:

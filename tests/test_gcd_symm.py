@@ -152,6 +152,21 @@ class TestHVector:
             assert all(v >= 0 for v in h.values)
 
 
+class TestClosureShares:
+    def test_every_set_of_distinct_parts_up_to_12(self):
+        # f(v) counts the reduced fractions k/l, l dividing some part, for
+        # which v is the gcd of the parts that l divides.
+        for size in range(1, 13):
+            for distinct in itertools.combinations(range(12, 0, -1), size):
+                want = {}
+                for l in {l for part in distinct for l in range(1, part + 1) if part % l == 0}:
+                    v = math.gcd(*[part for part in distinct if part % l == 0])
+                    reduced = sum(1 for k in range(l) if math.gcd(k, l) == 1)
+                    want[v] = want.get(v, 0) + reduced
+                # The elements come in increasing order.
+                assert partinv.gcd_symm._closure_shares(distinct) == sorted(want.items())
+
+
 class TestClosureBudget:
     # The parts P/p_i over the first s primes have a gcd-closure of 2^s - 1
     # elements: 4095 at s = 12, just under the budget, and 8191 at s = 13.

@@ -18,13 +18,7 @@ from .algebra import (
     pair_orbits,
     wedderburn,
 )
-from .classify import (
-    EquivalenceClass,
-    EquivalenceClasses,
-    classify,
-    count_classes,
-    self_equivalent,
-)
+from .classify import EquivalenceClasses, classify, count_classes, self_equivalent
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import (
     DetBounds,
@@ -68,7 +62,6 @@ __all__ = [
     "BoundExceededError",
     "ConsistencyError",
     "DetBounds",
-    "EquivalenceClass",
     "EquivalenceClasses",
     "FieldSpec",
     "GVector",

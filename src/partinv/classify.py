@@ -29,7 +29,7 @@ from functools import cached_property
 from ._record import Record
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import _closure_h, _closure_shares, _g_from_h
-from .partitions import Partition, _descending, count_partitions
+from .partitions import _descending, count_partitions
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -43,24 +43,14 @@ MAX_CLASSIFY_SIZE = 200_000
 MAX_TABLE_CELLS = 6_000_000
 
 
-class EquivalenceClass(Record):
-    key: tuple[int, ...]
-    members: tuple[Partition, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class EquivalenceClasses(Record):
     """The full classification of P(s, n).
 
     ``keys`` are the class keys in ascending lexicographic order.  ``parts``
-    lists P(s, n) in enumeration order (descending lexicographic), and
-    ``class_ids`` gives the index in ``keys`` of each one's class.
-    ``classes`` groups them, members in enumeration order, on first read.
-    ``to_csv``, ``to_json`` and ``to_text`` write the table to a stream, a
-    row or a class at a time, from the part tuples: none builds a Partition.
+    lists P(s, n) in enumeration order (descending lexicographic),
+    ``class_ids`` gives the index in ``keys`` of each one's class, and
+    :meth:`member_parts` groups them.  ``to_csv``, ``to_json`` and
+    ``to_text`` write the table to a stream, a row or a class at a time.
     """
 
     s: int
@@ -68,13 +58,6 @@ class EquivalenceClasses(Record):
     keys: tuple[tuple[int, ...], ...]
     parts: tuple[tuple[int, ...], ...]
     class_ids: tuple[int, ...]
-
-    @cached_property
-    def classes(self) -> tuple[EquivalenceClass, ...]:
-        return tuple(
-            EquivalenceClass(key, tuple(map(Partition, members)))
-            for key, members in zip(self.keys, self.member_parts())
-        )
 
     def member_parts(self) -> list[list[tuple[int, ...]]]:
         """Each class's member part tuples, in enumeration order, by class id."""
@@ -98,20 +81,10 @@ class EquivalenceClasses(Record):
         """Histogram: class size -> number of classes of that size."""
         return _histogram(Counter(self.class_ids).values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "n": self.n,
-            "classes": [
-                {"key": list(key), "members": list(map(list, members))}
-                for key, members in zip(self.keys, self.member_parts())
-            ],
-            "summary": summary_json(self.p, self.i, self.e),
-        }
-
     def to_json(self, out: TextIO) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2)`` and a newline
-        to ``out``, one class at a time, so that no more than one class's
+        """Write ``json.dumps(document, indent=2)`` and a newline to ``out``,
+        where the document is ``{s, n, classes: [{key, members}], summary:
+        {p, i, e}}``, one class at a time, so that no more than one class's
         document is held at once.
 
         A class's key and each member fill one %-template per table, laid
@@ -276,8 +249,8 @@ def count_classes(s: int, n: int) -> tuple[int, int, dict[int, int]]:
     return sum(sizes), len(sizes), _histogram(sizes)
 
 
-def self_equivalent(s: int, n: int) -> list[Partition]:
-    """Partitions alone in their class, in enumeration order.
+def self_equivalent(s: int, n: int) -> list[tuple[int, ...]]:
+    """The parts of each partition alone in its class, in enumeration order.
 
     Refused as :func:`classify` is.
     """
@@ -288,4 +261,4 @@ def self_equivalent(s: int, n: int) -> list[Partition]:
         sizes[h] += 1
     # Classes are met in the order of their first members, so the singletons
     # come in enumeration order.
-    return [Partition(first[h]) for h, size in sizes.items() if size == 1]
+    return [first[h] for h, size in sizes.items() if size == 1]

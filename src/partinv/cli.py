@@ -122,21 +122,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     morita = morita_equivalent(lam, mu, field)
 
     if args.format == "json":
+
+        def side(nu: Partition, index: int) -> dict:
+            return {
+                "partition": list(nu.parts),
+                "n": nu.n,
+                "polynomial": _polynomial_payload(nu.polynomial),
+                "blocks": morita.blocks[index],
+                "signed_value": morita.signed_values[index],
+            }
+
         _write_json({
-            "left": {
-                "partition": list(lam.parts),
-                "n": lam.n,
-                "polynomial": _polynomial_payload(lam.polynomial),
-                "blocks": morita.blocks[0],
-                "signed_value": morita.signed_values[0],
-            },
-            "right": {
-                "partition": list(mu.parts),
-                "n": mu.n,
-                "polynomial": _polynomial_payload(mu.polynomial),
-                "blocks": morita.blocks[1],
-                "signed_value": morita.signed_values[1],
-            },
+            "left": side(lam, 0),
+            "right": side(mu, 1),
             "characteristic": field.characteristic,
             "equivalent": equal_poly,
             "isomorphic": iso,
@@ -218,11 +216,11 @@ def _cmd_self_equivalent(args: argparse.Namespace) -> int:
         _write_json({
             "s": args.s,
             "n": args.n,
-            "self_equivalent": [list(lam.parts) for lam in singles],
+            "self_equivalent": list(map(list, singles)),
         })
     else:
         heading = f"self-equivalent in P({args.s},{args.n}): {len(singles)}"
-        print("\n".join([heading, *map(str, singles)]))
+        print("\n".join([heading, *[",".join(map(str, parts)) for parts in singles]]))
     return 0
 
 

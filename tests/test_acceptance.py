@@ -188,8 +188,8 @@ def test_criterion_6_counting():
             )
     grouped = classify(3, 11)
     assert grouped.i == 5
-    assert sorted((c.size for c in grouped.classes), reverse=True) == [4, 2, 2, 1, 1]
-    singles = [lam.parts for lam in self_equivalent(3, 9)]
+    assert sorted(map(len, grouped.member_parts()), reverse=True) == [4, 2, 2, 1, 1]
+    singles = self_equivalent(3, 9)
     assert singles == [(4, 4, 1), (3, 3, 3)]
     assert (5, 2, 2) not in singles
 

@@ -22,6 +22,7 @@ from partinv import (
 )
 from partinv.classify import MAX_TABLE_CELLS
 from partinv.cli import main
+from util import reference_table_output
 
 # The package re-exports the function under the module's name.
 classify_module = importlib.import_module("partinv.classify")
@@ -38,11 +39,12 @@ class TestClassify:
         grouped = classify(3, 11)
         assert grouped.p == 10
         assert grouped.i == 5
-        assert sorted((c.size for c in grouped.classes), reverse=True) == [4, 2, 2, 1, 1]
+        classes = grouped.member_parts()
+        assert sorted(map(len, classes), reverse=True) == [4, 2, 2, 1, 1]
         assert grouped.e == {1: 2, 2: 2, 4: 1}
-        big = next(c for c in grouped.classes if c.size == 4)
-        assert big.key == (11, 4, 1)
-        assert [m.parts for m in big.members] == [
+        big = next(idx for idx, members in enumerate(classes) if len(members) == 4)
+        assert grouped.keys[big] == (11, 4, 1)
+        assert classes[big] == [
             (8, 2, 1),
             (7, 2, 2),
             (6, 4, 1),
@@ -52,12 +54,12 @@ class TestClassify:
     def test_two_part_prime(self):
         grouped = classify(2, 7)
         assert grouped.i == 1
-        assert grouped.classes[0].size == 3
+        assert len(grouped.member_parts()[0]) == 3
 
     def test_single_part(self):
         grouped = classify(1, 9)
         assert grouped.i == 1
-        assert grouped.classes[0].members == (Partition((9,)),)
+        assert grouped.member_parts() == [[(9,)]]
 
     def test_preconditions(self):
         with pytest.raises(InputError):
@@ -83,19 +85,20 @@ class TestClassify:
             for s in range(1, n + 1):
                 grouped = classify(s, n)
                 assert count_classes(s, n) == (grouped.p, grouped.i, grouped.e)
-                singletons = [c.members[0] for c in grouped.classes if c.size == 1]
+                singletons = [members[0] for members in grouped.member_parts() if len(members) == 1]
                 assert self_equivalent(s, n) == sorted(singletons, reverse=True)
 
     def test_classes_partition_the_set(self):
         for n in range(1, 15):
             for s in range(1, n + 1):
                 grouped = classify(s, n)
-                members = [m for c in grouped.classes for m in c.members]
+                classes = grouped.member_parts()
+                members = [m for c in classes for m in c]
                 assert len(members) == len(set(members)) == count_partitions(s, n)
                 assert sum(size * cnt for size, cnt in grouped.e.items()) == grouped.p
                 assert sum(grouped.e.values()) == grouped.i
-                for c in grouped.classes:
-                    assert all(g_vector(m).values == c.key for m in c.members)
+                for key, c in zip(grouped.keys, classes):
+                    assert all(g_vector(Partition(m)).values == key for m in c)
 
     def test_csv_rows_match_class_ids(self):
         import csv
@@ -106,32 +109,32 @@ class TestClassify:
                 grouped = classify(s, n)
                 rows = list(csv.reader(io.StringIO(csv_text(grouped))))[1:]
                 assert [r[0] for r in rows] == [str(m) for m in enumerate_partitions(s, n)]
+                classes = grouped.member_parts()
                 for parts_text, g_text, class_id in rows:
-                    cls = grouped.classes[int(class_id)]
-                    assert parts_text in {str(m) for m in cls.members}
-                    assert g_text == ",".join(str(v) for v in cls.key)
+                    members = classes[int(class_id)]
+                    assert parts_text in {",".join(map(str, m)) for m in members}
+                    assert g_text == ",".join(str(v) for v in grouped.keys[int(class_id)])
 
     def test_keys_sorted_members_in_enumeration_order(self):
         grouped = classify(4, 16)
-        keys = [c.key for c in grouped.classes]
+        keys = list(grouped.keys)
         assert keys == sorted(keys)
-        order = {lam: i for i, lam in enumerate(enumerate_partitions(4, 16))}
-        for c in grouped.classes:
-            positions = [order[m] for m in c.members]
+        order = {lam.parts: i for i, lam in enumerate(enumerate_partitions(4, 16))}
+        for members in grouped.member_parts():
+            positions = [order[m] for m in members]
             assert positions == sorted(positions)
 
     def test_grouping_matches_pairwise_equivalence(self):
         for n in range(2, 19):
             for s in range(1, n + 1):
                 grouped = classify(s, n)
-                class_of = {}
-                for idx, c in enumerate(grouped.classes):
-                    for m in c.members:
-                        class_of[m] = idx
+                class_of = dict(zip(grouped.parts, grouped.class_ids))
                 pool = list(enumerate_partitions(s, n))
                 for i, lam in enumerate(pool):
                     for mu in pool[i + 1 :]:
-                        assert equivalent(lam, mu) == (class_of[lam] == class_of[mu])
+                        assert equivalent(lam, mu) == (
+                            class_of[lam.parts] == class_of[mu.parts]
+                        )
 
     def test_scaling_embeds_classes(self):
         # Doubling is an equivalence-preserving bijection from P(s,n) onto
@@ -140,21 +143,17 @@ class TestClassify:
             for s in range(1, n + 1):
                 original = classify(s, n)
                 doubled = classify(s, 2 * n)
-                doubled_class_of = {
-                    m: idx for idx, c in enumerate(doubled.classes) for m in c.members
-                }
+                doubled_class_of = dict(zip(doubled.parts, doubled.class_ids))
                 image_ids = []
-                for c in original.classes:
-                    ids = {doubled_class_of[scale(2, m)] for m in c.members}
+                for members in original.member_parts():
+                    ids = {doubled_class_of[scale(2, Partition(m)).parts] for m in members}
                     assert len(ids) == 1  # scaled members stay together
                     image_ids.append(ids.pop())
                 # distinct classes stay distinct
                 assert len(set(image_ids)) == original.i
                 # the even-part partitions of P(s,2n) are exactly the images
-                evens = sorted(m for m in doubled_class_of if all(p % 2 == 0 for p in m.parts))
-                images = sorted(
-                    scale(2, m) for c in original.classes for m in c.members
-                )
+                evens = sorted(m for m in doubled_class_of if all(p % 2 == 0 for p in m))
+                images = sorted(scale(2, Partition(m)).parts for m in original.parts)
                 assert evens == images
 
 
@@ -177,30 +176,36 @@ class TestWalk:
         def unbuilt(*args):
             raise AssertionError("to_csv built a Partition")
 
-        monkeypatch.setattr(classify_module, "Partition", unbuilt)
-        for n in range(1, 21):
-            for s in range(1, n + 1):
-                text = csv_text(classify(s, n))
-                pool = list(enumerate_partitions(s, n))
-                keys = sorted({lam.g.values for lam in pool})
-                expected = [
-                    [str(lam), ",".join(map(str, lam.g.values)), str(keys.index(lam.g.values))]
-                    for lam in pool
-                ]
-                assert list(csv.reader(io.StringIO(text))) == [
-                    ["parts", "g_vector", "class_id"], *expected
-                ]
+        monkeypatch.setattr(Partition, "__init__", unbuilt)
+        tables = [(s, n) for n in range(1, 21) for s in range(1, n + 1)]
+        texts = [csv_text(classify(s, n)) for s, n in tables]
+        monkeypatch.undo()  # the expected rows are read from Partitions
+        for (s, n), text in zip(tables, texts):
+            pool = list(enumerate_partitions(s, n))
+            keys = sorted({lam.g.values for lam in pool})
+            expected = [
+                [str(lam), ",".join(map(str, lam.g.values)), str(keys.index(lam.g.values))]
+                for lam in pool
+            ]
+            assert list(csv.reader(io.StringIO(text))) == [
+                ["parts", "g_vector", "class_id"], *expected
+            ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_text_and_json_build_no_partition(self, monkeypatch, capsys, fmt):
+        # Every table command in the format; test_csv_builds_no_partition
+        # covers the one CSV writer.
         def unbuilt(*args):
-            raise AssertionError("classify built a Partition")
+            raise AssertionError("a table command built a Partition")
 
-        monkeypatch.setattr(classify_module, "Partition", unbuilt)
-        assert main(["classify", "7", "30", "--format", fmt]) == 0
-        assert capsys.readouterr().out.startswith(
-            "p(7,30) = 618\n" if fmt == "text" else '{\n  "s": 7,\n  "n": 30,\n'
-        )
+        commands = ["classify", "count", "self-equivalent"]
+        monkeypatch.setattr(Partition, "__init__", unbuilt)
+        got = []
+        for command in commands:
+            code = main([command, "7", "30", "--format", fmt])
+            got.append((code, capsys.readouterr().out))
+        monkeypatch.undo()
+        assert got == [(0, reference_table_output(command, 7, 30, fmt)) for command in commands]
 
 
 class TestSharedShares:
@@ -241,23 +246,25 @@ class TestSharedShares:
 
 class TestSelfEquivalent:
     def test_three_part_nine(self):
-        got = [lam.parts for lam in self_equivalent(3, 9)]
+        got = self_equivalent(3, 9)
         assert got == [(4, 4, 1), (3, 3, 3)]
         assert (5, 2, 2) not in got
 
     def test_single_part(self):
-        assert [lam.parts for lam in self_equivalent(1, 7)] == [(7,)]
+        assert self_equivalent(1, 7) == [(7,)]
 
 
 class TestExports:
     def test_json_round_trip(self):
         grouped = classify(3, 11)
-        data = grouped.to_json_dict()
-        assert json.loads(json.dumps(data)) == data
+        out = io.StringIO()
+        grouped.to_json(out)
+        data = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(data, indent=2) + "\n"
         assert (data["s"], data["n"]) == (3, 11)
-        assert [(tuple(c["key"]), tuple(map(tuple, c["members"]))) for c in data["classes"]] == [
-            (c.key, tuple(m.parts for m in c.members)) for c in grouped.classes
-        ]
+        assert [(tuple(c["key"]), list(map(tuple, c["members"]))) for c in data["classes"]] == list(
+            zip(grouped.keys, grouped.member_parts())
+        )
         assert data["summary"] == {"p": 10, "i": 5, "e": {"1": 2, "2": 2, "4": 1}}
 
     def test_csv_shape_and_content(self):
@@ -275,6 +282,6 @@ class TestExports:
             lam = Partition(tuple(int(x) for x in parts_text.split(",")))
             assert g_vector(lam).values == tuple(int(x) for x in g_text.split(","))
             by_class.setdefault(int(class_id), []).append(lam)
-        assert sorted(
-            tuple(m.parts for m in c.members) for c in grouped.classes
-        ) == sorted(tuple(m.parts for m in members) for members in by_class.values())
+        assert sorted(map(tuple, grouped.member_parts())) == sorted(
+            tuple(m.parts for m in members) for members in by_class.values()
+        )

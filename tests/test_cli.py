@@ -20,7 +20,6 @@ import partinv
 from partinv import (
     FieldSpec,
     Partition,
-    classify,
     count_partitions,
     g_vector,
     verify_all,
@@ -155,6 +154,25 @@ class TestCompare:
         assert data["morita"] is True
         assert data["left"]["signed_value"] == -4
         assert data["right"]["signed_value"] == 4
+
+    @pytest.mark.parametrize("left,right", [("3,2,1", "5,1"), ("4,1", "4"), ("6,3,2", "4,4,1,1")])
+    def test_json_sides_follow_their_own_partition(self, capsys, left, right):
+        # Each side carries its own partition's values; swapping the
+        # arguments swaps the two objects.
+        _, out, _ = run(capsys, "compare", left, right, "--format", "json")
+        _, swapped, _ = run(capsys, "compare", right, left, "--format", "json")
+        data, swapped = json.loads(out), json.loads(swapped)
+        assert (data["left"], data["right"]) == (swapped["right"], swapped["left"])
+        for text, side in [(left, data["left"]), (right, data["right"])]:
+            assert list(side) == ["partition", "n", "polynomial", "blocks", "signed_value"]
+            _, analyzed, _ = run(capsys, "analyze", text, "--format", "json")
+            analyzed = json.loads(analyzed)
+            assert side["partition"] == analyzed["partition"]
+            assert side["n"] == analyzed["n"]
+            assert side["polynomial"] == analyzed["polynomial"]
+            assert side["blocks"] == sum(analyzed["wedderburn"].values())
+            sign = 1 if analyzed["s"] % 2 else -1
+            assert side["signed_value"] == sign * side["blocks"]
 
     def test_not_semisimple_is_a_precondition_error(self, capsys):
         code, _, err = run(capsys, "compare", "4,2", "3,3", "--char", "2")
@@ -474,7 +492,7 @@ class TestClassify:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "classify", "3", "11", "--format", "json")
         assert code == 0
-        assert json.loads(out) == classify(3, 11).to_json_dict()
+        assert json.loads(out) == json.loads(reference_table_output("classify", 3, 11, "json"))
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, "classify", "3", "11", "--format", "csv")

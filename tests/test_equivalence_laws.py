@@ -28,16 +28,13 @@ def _classified_pairs(n_max, rng=None, per_shape=None):
     for n in range(2, n_max + 1):
         for s in range(1, n + 1):
             grouped = classify(s, n)
-            class_of = {}
-            for idx, cls in enumerate(grouped.classes):
-                for m in cls.members:
-                    class_of[m] = idx
+            class_of = dict(zip(grouped.parts, grouped.class_ids))
             pool = list(enumerate_partitions(s, n))
             pairs = list(itertools.combinations(pool, 2))
             if rng is not None and per_shape is not None and len(pairs) > per_shape:
                 pairs = rng.sample(pairs, per_shape)
             for lam, mu in pairs:
-                yield lam, mu, class_of[lam] == class_of[mu]
+                yield lam, mu, class_of[lam.parts] == class_of[mu.parts]
 
 
 class TestScaling:
@@ -84,8 +81,8 @@ class TestConcatenation:
         for s, n in [(2, 5), (2, 7), (2, 9), (3, 11), (2, 12), (3, 13)]:
             if n > 13:
                 continue
-            for cls in classify(s, n).classes:
-                pairs.extend(itertools.combinations(cls.members, 2))
+            for members in classify(s, n).member_parts():
+                pairs.extend(itertools.combinations(map(Partition, members), 2))
         checked = 0
         for (lam, mu), (gamma, delta) in itertools.combinations(pairs, 2):
             cross_parts = [

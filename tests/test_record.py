@@ -23,7 +23,7 @@ from partinv.algebra import (
     Permutation,
     WedderburnShape,
 )
-from partinv.classify import EquivalenceClass, EquivalenceClasses, classify
+from partinv.classify import EquivalenceClasses, classify
 from partinv.gcd_symm import DetBounds, GVector, HVector, _Vector
 from partinv.oracles import Failure, FamilyResult, VerificationReport
 from partinv.partition_poly import PartitionPolynomial
@@ -48,8 +48,6 @@ RECORDS = [
     (WedderburnShape, ("multiplicities",), {}, [((1,),), ((3, 1),)]),
     (MoritaResult, ("equivalent", "blocks", "signed_values"), {},
      [(True, (4, 4), (-4, 4)), (False, (1, 2), (1, -2))]),
-    (EquivalenceClass, ("key", "members"), {},
-     [((1,), (Partition((1,)),)), ((4, 1), (Partition((4, 1)), Partition((3, 2))))]),
     (EquivalenceClasses, ("s", "n", "keys", "parts", "class_ids"), {},
      [(1, 1, ((1,),), ((1,),), (0,)),
       (3, 7, _TABLE.keys, _TABLE.parts, _TABLE.class_ids)]),
@@ -89,7 +87,7 @@ def all_subclasses(cls):
 
 def test_every_record_class_has_a_twin():
     assert set(all_subclasses(Record)) == {cls for cls, *_ in RECORDS}
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 15
 
 
 @pytest.mark.parametrize("cls,fields,defaults,samples", RECORDS, ids=_NAMES)
@@ -193,5 +191,5 @@ def test_cached_values_stay_out_of_equality_hash_and_repr():
     assert lam == fresh and hash(lam) == hash(fresh) == hash(dc((8, 2, 1)))
     assert repr(lam) == repr(dc((8, 2, 1)))
     table, again = classify(3, 7), classify(3, 7)
-    table.classes, table.e
+    table.e
     assert table == again and hash(table) == hash(again) and repr(table) == repr(again)

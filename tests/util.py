@@ -54,8 +54,8 @@ def exact_partitions(n: int, s: int) -> list[tuple[int, ...]]:
 def reference_table_output(command: str, s: int, n: int, fmt: str) -> str:
     """What ``partinv <command> s n --format fmt`` printed when each output
     was built whole: CSV through the ``csv`` module, JSON as one
-    ``json.dumps`` of the whole payload, text from the classes'
-    ``Partition`` members."""
+    ``json.dumps`` of the whole payload, text as a list of lines, each
+    table from the part tuples that the library call returns."""
 
     def summary(p: int, i: int, e: dict[int, int]) -> list[str]:
         histogram = " ".join(f"{size}:{count}" for size, count in e.items())
@@ -73,20 +73,35 @@ def reference_table_output(command: str, s: int, n: int, fmt: str) -> str:
                 for parts, idx in zip(grouped.parts, grouped.class_ids)
             )
             return out.getvalue()
-        payload = grouped.to_json_dict()
+        classes = list(zip(grouped.keys, grouped.member_parts()))
+        payload = {
+            "s": s,
+            "n": n,
+            "classes": [
+                {"key": list(key), "members": [list(m) for m in members]}
+                for key, members in classes
+            ],
+            "summary": {
+                "p": grouped.p,
+                "i": grouped.i,
+                "e": {str(k): v for k, v in grouped.e.items()},
+            },
+        }
         lines = summary(grouped.p, grouped.i, grouped.e)
-        for idx, cls in enumerate(grouped.classes):
-            key = ",".join(str(v) for v in cls.key)
-            members = " | ".join(str(m) for m in cls.members)
-            lines.append(f"class {idx} [g = {key}] size {cls.size}: {members}")
+        for idx, (key, members) in enumerate(classes):
+            row = " | ".join(",".join(map(str, m)) for m in members)
+            lines.append(f"class {idx} [g = {','.join(map(str, key))}] size {len(members)}: {row}")
     elif command == "count":
         p, i, e = count_classes(s, n)
         payload = {"s": s, "n": n, "p": p, "i": i, "e": {str(k): v for k, v in e.items()}}
         lines = summary(p, i, e)
     else:
         singles = self_equivalent(s, n)
-        payload = {"s": s, "n": n, "self_equivalent": [list(lam.parts) for lam in singles]}
-        lines = [f"self-equivalent in P({s},{n}): {len(singles)}", *map(str, singles)]
+        payload = {"s": s, "n": n, "self_equivalent": [list(parts) for parts in singles]}
+        lines = [
+            f"self-equivalent in P({s},{n}): {len(singles)}",
+            *(",".join(map(str, parts)) for parts in singles),
+        ]
     text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)
     return text + "\n"
 

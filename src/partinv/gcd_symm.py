@@ -348,11 +348,14 @@ class DetBounds(Record):
 
     The bounds (and positivity) are only asserted when the parts are pairwise
     distinct; ``distinct`` records that.  Distinct parts make the matrix
-    positive definite (Smith 1875: G = E diag(phi) E^T, where the 0/1 matrix
-    E of parts against their divisors has independent rows), so no leading
+    positive definite (Smith 1875: G = D diag(phi) D^T, where the 0/1 matrix
+    D of parts against their divisors has independent rows), so no leading
     minor is zero and the elimination needs no pivot search.  The upper
     bound subtracts floor(s!/2), which for a single part is 0, so the part
-    itself is the bound.
+    itself is the bound.  Isolated parts, each a > 1 coprime to every other
+    part, leave the elimination through Smith's rank-one closed form
+    det G = (P + E) det G_B - E 1^T adj(G_B) 1 (see
+    :func:`gcd_matrix_det_and_bounds`).
     """
 
     determinant: int
@@ -366,22 +369,48 @@ def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
 
     Repeated parts give two equal rows, so 0 with no elimination.  Distinct
     parts are eliminated in increasing order, which keeps the leading minors
-    small, with no pivot search: the matrix is positive definite.  Distinct
-    parts whose upper bound Python cannot write in decimal (it has more
-    digits than ``sys.get_int_max_str_digits()``, where 0 means no limit)
-    are refused with :class:`BoundExceededError` after the factoring and
-    before the elimination, which on so many small parts takes minutes.
+    small, with no pivot search: the matrix is positive definite.  An
+    isolated part, a part a > 1 coprime to every other part, meets every
+    other row in 1s only, so the r isolated parts a_j leave the elimination
+    through a closed form: with d_j = a_j - 1, P = prod d_j and
+    E = sum_j prod_{l != j} d_l, their block has determinant P + E, and
+    det G = (P + E) det G_B - E 1^T adj(G_B) 1 over the other parts B (part
+    1 among them).  The gcd matrix of B bordered by one last row
+    (E, ..., E, E (P + E)) is positive definite with determinant E det G,
+    so one elimination of s - r + 1 rows gives det G (of s rows when no
+    part is isolated).  Distinct parts whose upper bound Python cannot
+    write in decimal (it has more digits than
+    ``sys.get_int_max_str_digits()``, where 0 means no limit) are refused
+    with :class:`BoundExceededError` after the factoring and before the
+    elimination, which on so many small parts takes minutes.
     """
     # Factoring for the lower bound comes first: a part that cannot be
-    # factored is refused before the elimination is paid for.
+    # factored is refused before the elimination is paid for.  The product
+    # of the parts, for the upper bound, also finds the isolated parts: a is
+    # coprime to every other distinct part when gcd(a, product / a) is 1.
+    # d_product and border are the docstring's P and E.
     counts = Counter(lam.parts)
     lower = math.prod(euler_phi(p) ** m for p, m in counts.items())
     distinct = len(counts) == lam.s
-    upper = math.prod(lam.parts) - math.factorial(lam.s) // 2
+    product = math.prod(lam.parts)
+    upper = product - math.factorial(lam.s) // 2
     det = 0
     if distinct:
         refuse_unprintable(upper)
-        parts = sorted(counts)
-        gcds = [[math.gcd(a, b) for b in parts[i:]] for i, a in enumerate(parts)]
-        det = _positive_definite_det(gcds)
+        rest, d_product, border = [], 1, 0
+        for a in sorted(counts):
+            if a > 1 and math.gcd(a, product // a) == 1:
+                d_product, border = d_product * (a - 1), border * (a - 1) + d_product
+            else:
+                rest.append(a)
+        gcds = [[math.gcd(a, b) for b in rest[i:]] for i, a in enumerate(rest)]
+        if border:
+            for row in gcds:
+                row.append(border)
+            gcds.append([border * (d_product + border)])
+        det, remainder = divmod(_positive_definite_det(gcds), border or 1)
+        if remainder:
+            raise ConsistencyError(
+                f"bordered gcd matrix determinant leaves {remainder} mod its border {border}"
+            )
     return DetBounds(determinant=det, lower=lower, upper=upper, distinct=distinct)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partinv.cli
 import partinv.gcd_symm
 from partinv import (
     BoundExceededError,
@@ -35,6 +36,34 @@ from util import (
 
 naturals = st.integers(min_value=0, max_value=10**9)
 positives = st.integers(min_value=1, max_value=10**6)
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def isolated(parts):
+    """The parts a > 1 coprime to every other part, pair by pair."""
+    return [a for a in parts if a > 1 and all(math.gcd(a, b) == 1 for b in parts if b != a)]
+
+
+_rng = random.Random(31)
+# Sets of distinct parts with none, some or only isolated parts.
+SHAPES = {
+    "one-part": (7,),
+    "part-1": (1,),
+    "two-coprime-parts": (4, 9),
+    "first-15-primes": PRIMES,
+    "first-15-primes-and-1": (1, *PRIMES),
+    "one-isolated-part": (2, 4, 6, 35),
+    "one-isolated-part-and-1": (1, 2, 4, 6, 35),
+    "1..200": tuple(range(1, 201)),
+    "divisors-of-720": tuple(d for d in range(1, 721) if 720 % d == 0),
+    "divisors-of-5040": tuple(d for d in range(1, 5041) if 5040 % d == 0),
+    **{
+        f"random-below-1000-{i}": tuple(_rng.sample(range(1, 1000), _rng.randint(20, 70)))
+        for i in range(6)
+    },
+    "six-digit-parts": tuple(_rng.sample(range(10**5, 10**6), 40)),
+}
 
 
 class TestGcdProduct:
@@ -295,7 +324,13 @@ class TestDeterminant:
 
     def test_against_general_elimination(self):
         leading = (Partition.of(*range(1, k + 1)) for k in range(1, 61))
-        for lam in itertools.chain(all_partitions(25), leading):
+        # every set of distinct parts up to 12, with or without isolated parts
+        subsets = (
+            Partition.of(*parts)
+            for size in range(1, 13)
+            for parts in itertools.combinations(range(1, 13), size)
+        )
+        for lam in itertools.chain(all_partitions(25), leading, subsets):
             want = fraction_free_det([list(r) for r in gcd_matrix(lam)])
             assert gcd_matrix_det_and_bounds(lam).determinant == want, lam
 
@@ -416,6 +451,47 @@ class TestDeterminant:
             if result.distinct:
                 assert 0 < result.determinant
                 assert result.lower <= result.determinant <= result.upper
+
+    @pytest.mark.parametrize("parts", SHAPES.values(), ids=SHAPES.keys())
+    def test_shapes_against_general_elimination(self, parts):
+        # in increasing order the reference is fast on 1..200
+        ordered = sorted(parts)
+        want = fraction_free_det([[math.gcd(a, b) for b in ordered] for a in ordered])
+        assert gcd_matrix_det_and_bounds(Partition.of(*parts)).determinant == want
+
+    @pytest.mark.parametrize("parts", SHAPES.values(), ids=SHAPES.keys())
+    def test_isolated_parts_leave_the_elimination(self, monkeypatch, parts):
+        # r isolated parts leave s - r rows and one border row; none leave s.
+        sizes = []
+        real = partinv.gcd_symm._positive_definite_det
+
+        def spy(upper):
+            sizes.append(len(upper))
+            return real(upper)
+
+        monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", spy)
+        gcd_matrix_det_and_bounds(Partition.of(*parts))
+        r = len(isolated(parts))
+        assert sizes == [len(parts) - r + 1 if r else len(parts)]
+
+    @pytest.mark.parametrize(
+        "parts", [(1, 2, 3), PRIMES, range(1, 201)], ids=["1,2,3", "primes", "1..200"]
+    )
+    def test_a_bordered_determinant_off_by_one_is_a_consistency_error(
+        self, capsys, monkeypatch, parts
+    ):
+        # Each set has at least two isolated parts, so the border E exceeds
+        # 1 and an elimination one above E det G leaves a remainder.
+        real = partinv.gcd_symm._positive_definite_det
+        monkeypatch.setattr(
+            partinv.gcd_symm, "_positive_definite_det", lambda upper: real(upper) + 1
+        )
+        with pytest.raises(ConsistencyError, match="leaves 1 mod its border"):
+            gcd_matrix_det_and_bounds(Partition.of(*parts))
+        code = partinv.cli.main(["analyze", ",".join(map(str, parts))])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("internal consistency violation: bordered gcd matrix")
 
 
 class TestEulerPhi:

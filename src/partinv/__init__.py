@@ -22,8 +22,6 @@ from .classify import EquivalenceClasses, classify, count_classes, self_equivale
 from .errors import BoundExceededError, ConsistencyError, InputError
 from .gcd_symm import (
     DetBounds,
-    GVector,
-    HVector,
     euler_phi,
     g_vector,
     gcd_matrix,
@@ -64,8 +62,6 @@ __all__ = [
     "DetBounds",
     "EquivalenceClasses",
     "FieldSpec",
-    "GVector",
-    "HVector",
     "InputError",
     "MoritaResult",
     "OrbitDecomposition",

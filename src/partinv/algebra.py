@@ -87,7 +87,7 @@ def dimension(lam: Partition) -> int:
     i-by-i matrix ring, and its rank, the number of pair orbits (the
     gcd-matrix total), does not depend on the field.
     """
-    return sum(i * i * h for i, h in enumerate(lam.h.values, start=1))
+    return sum(i * i * h for i, h in enumerate(lam.h, start=1))
 
 
 class FieldSpec(Record):
@@ -151,7 +151,7 @@ def _require_semisimple(lam: Partition, field: FieldSpec) -> None:
 
 def wedderburn(lam: Partition, field: FieldSpec) -> WedderburnShape:
     """Block multiplicities of the fixed algebra; they are the h-vector."""
-    shape = WedderburnShape(multiplicities=lam.h.values)
+    shape = WedderburnShape(multiplicities=lam.h)
     _require_semisimple(lam, field)
     if shape.n != lam.n:
         raise ConsistencyError(f"block sizes sum to {shape.n}, expected {lam.n}")

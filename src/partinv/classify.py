@@ -219,6 +219,8 @@ def classify(s: int, n: int) -> EquivalenceClasses:
     s*|P(s, n)| above ``MAX_TABLE_CELLS``, are refused with
     :class:`BoundExceededError`; the first two checks run before any
     counting.  P(s, n) is counted once, and the enumeration must match it.
+    Each class key is checked as every g-vector is (see
+    :func:`partinv.gcd_symm._g_from_h`).
     """
     found: dict[tuple[int, ...], int] = {}  # h -> index, in order of first member
     walked: list[tuple[int, ...]] = []

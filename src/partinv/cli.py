@@ -71,8 +71,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "partition": list(lam.parts),
             "n": lam.n,
             "s": lam.s,
-            "g_vector": list(g.values),
-            "h_vector": list(h.values),
+            "g_vector": list(g),
+            "h_vector": list(h),
             "polynomial": _polynomial_payload(eps),
             "dimension": dim,
             "determinant": {
@@ -91,8 +91,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"partition: {lam}",
         f"n: {lam.n}",
         f"s: {lam.s}",
-        "g-vector: " + ",".join(str(v) for v in g.values),
-        "h-vector: " + ",".join(str(v) for v in h.values),
+        "g-vector: " + ",".join(map(str, g)),
+        "h-vector: " + ",".join(map(str, h)),
         f"polynomial: {eps}",
         f"dimension: {dim}",
         f"gcd-matrix determinant: {det.determinant}",

@@ -43,54 +43,6 @@ if TYPE_CHECKING:
     from .partitions import Partition
 
 
-class _Vector(Record):
-    """A sequence (v_1, ..., v_s); ``vec[i]`` is 1-based like v_i."""
-
-    values: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"{type(self).__name__} index {i} outside 1..{len(self.values)}")
-        return self.values[i - 1]
-
-
-class GVector(_Vector):
-    """The sequence (g_1, ..., g_s) of subset gcd sums."""
-
-    def __init__(self, values: tuple[int, ...]) -> None:
-        if not values:
-            raise ConsistencyError("empty g-vector")
-        last = values[-1]
-        for i, value in enumerate(values, start=1):
-            if value < 1:
-                raise ConsistencyError(f"g_{i} must be positive, got {value}")
-            if value % last != 0:
-                raise ConsistencyError(f"g_s = {last} does not divide g_{i} = {value}")
-        self.__dict__["values"] = values
-
-
-class HVector(_Vector):
-    """The sequence (h_1, ..., h_s) of exact-membership counts."""
-
-    def __init__(self, values: tuple[int, ...]) -> None:
-        if not values:
-            raise ConsistencyError("empty h-vector")
-        for i, value in enumerate(values, start=1):
-            if value < 0:
-                raise ConsistencyError(f"h_{i} must be nonnegative, got {value}")
-        self.__dict__["values"] = values
-
-
 # The closure of s parts can have 2^s - 1 elements and the shares cost its
 # size squared, so a larger closure is refused while it is being built.
 _CLOSURE_BUDGET = 4096
@@ -140,7 +92,13 @@ def _closure_h(parts: tuple[int, ...], shares_of: Callable = _closure_shares) ->
 
 
 def _g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    """g_i = sum_j C(j, i) h_j, the inverse of :func:`h_vector`."""
+    """g_i = sum_j C(j, i) h_j, the inverse of :func:`h_vector`.
+
+    The one derivation of a g-vector, so the one place it is checked: a g
+    with an entry below 1, or one that g_s does not divide, is refused with
+    :class:`ConsistencyError`.  Every entry is tested positive before g_s
+    divides any of them.
+    """
     g = [0] * len(h)
     for j, h_j in enumerate(h, start=1):
         if h_j:
@@ -148,10 +106,16 @@ def _g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
             for i in range(1, j + 1):
                 g[i - 1] += term
                 term = term * (j - i) // (i + 1)
+    for i, value in enumerate(g, start=1):
+        if value < 1:
+            raise ConsistencyError(f"g_{i} must be positive, got {value}")
+    for i, value in enumerate(g, start=1):
+        if value % g[-1]:
+            raise ConsistencyError(f"g_s = {g[-1]} does not divide g_{i} = {value}")
     return tuple(g)
 
 
-def g_vector(lam: Partition) -> GVector:
+def g_vector(lam: Partition) -> tuple[int, ...]:
     """All g_i of a partition: its ``g``, from the h-vector of its gcd-closure.
 
     Never enumerates the 2^s subsets; the oracles' sub-multiset walk
@@ -161,19 +125,17 @@ def g_vector(lam: Partition) -> GVector:
     return lam.g
 
 
-def h_vector(g: GVector) -> HVector:
+def h_vector(g: tuple[int, ...]) -> tuple[int, ...]:
     """Inclusion-exclusion transform h_i = sum_k (-1)^k C(i+k, i) g_{i+k}."""
-    values = g.values
-    s = len(values)
     h = []
-    for i in range(1, s + 1):
+    for i in range(1, len(g) + 1):
         acc, binomial = 0, 1  # C(i + k, i), walked up from k = 0
-        for k, g_ik in enumerate(values[i - 1 :]):
+        for k, g_ik in enumerate(g[i - 1 :]):
             term = binomial * g_ik
             acc += -term if k % 2 else term
             binomial = binomial * (i + k + 1) // (k + 1)
         h.append(acc)
-    return HVector(tuple(h))
+    return tuple(h)
 
 
 Rows = tuple[tuple[int, ...], ...]
@@ -197,17 +159,18 @@ def power_norm(lam: Partition) -> tuple[int, ...]:
     chains that end below k counted by that gcd, and extends them by the
     k-th part; the i-th norm then sums gcd times count over the chains of
     length i.  Deliberately not computed as g_{i+1}: that equality is a
-    theorem, exercised by the test suite.
+    theorem, exercised by the test suite.  Each entry of D is taken from the
+    parts as it is needed; no matrix is built.
     """
-    entries = gcd_matrix(lam)
+    parts = lam.parts
     # below[t]: chains of t + 1 steps ending at an index below k, counted by
     # gcd.  That gcd divides the part the chain ends at, so a step on to k
     # joins it with the k-th part (the diagonal entry) whichever index the
     # chain ended at.  Longer chains are extended first, so each step reads
     # chains that end below k only.
-    below: list[dict[int, int]] = [{} for _ in range(len(entries) - 1)]
-    for k in range(1, len(entries)):
-        part = entries[k][k]
+    below: list[dict[int, int]] = [{} for _ in range(len(parts) - 1)]
+    for k in range(1, len(parts)):
+        part = parts[k]
         for t in range(k - 1, 0, -1):
             longer = below[t]
             for value, count in below[t - 1].items():
@@ -215,7 +178,7 @@ def power_norm(lam: Partition) -> tuple[int, ...]:
                 longer[joined] = longer.get(joined, 0) + count
         first = below[0]
         for j in range(k):
-            entry = entries[j][k]
+            entry = math.gcd(parts[j], part)
             first[entry] = first.get(entry, 0) + 1
     return tuple(sum([value * count for value, count in chains.items()]) for chains in below)
 
@@ -353,9 +316,8 @@ class DetBounds(Record):
     minor is zero and the elimination needs no pivot search.  The upper
     bound subtracts floor(s!/2), which for a single part is 0, so the part
     itself is the bound.  Isolated parts, each a > 1 coprime to every other
-    part, leave the elimination through Smith's rank-one closed form
-    det G = (P + E) det G_B - E 1^T adj(G_B) 1 (see
-    :func:`gcd_matrix_det_and_bounds`).
+    part, leave the elimination through a closed form, which
+    :func:`gcd_matrix_det_and_bounds` states.
     """
 
     determinant: int

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import ConsistencyError
-from .gcd_symm import GVector
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -59,12 +58,11 @@ class PartitionPolynomial(Record):
         return " ".join(terms) if terms else "0"
 
 
-def _polynomial(g: GVector) -> PartitionPolynomial:
-    values = g.values
-    s, g_last = len(values), values[-1]
+def _polynomial(g: tuple[int, ...]) -> PartitionPolynomial:
+    s, g_last = len(g), g[-1]
     coefficients = []
-    for i, g_i in enumerate(values):
-        quotient = g_i // g_last  # exact: GVector checks that g_s divides every g_i
+    for i, g_i in enumerate(g):
+        quotient = g_i // g_last  # exact: _g_from_h checks that g_s divides every g_i
         coefficients.append(-quotient if (s - 1 - i) % 2 else quotient)
     return PartitionPolynomial(tuple(coefficients))
 
@@ -73,7 +71,7 @@ def epsilon(lam: Partition) -> PartitionPolynomial:
     """The partition's polynomial: coefficient of x^i is (-1)^(s-1-i) g_{i+1}/g_s.
 
     g_s divides every g_i, so the coefficients are exact integers; a
-    g-vector for which that fails is refused when it is built.
+    g-vector for which that fails is refused where it is derived.
     """
     return lam.polynomial
 
@@ -96,7 +94,7 @@ def distinct_eigenvalue_count(lam: Partition) -> int:
     (-1)^(s-1) * g_s * value-at-1 of the polynomial and the literal size of
     the union of the root-of-unity sets (checked by the oracle suite).
     """
-    value = sum(lam.h.values)
+    value = sum(lam.h)
     if value <= 0:
         raise ConsistencyError(f"eigenvalue count must be positive, got {value} for {lam}")
     return value

@@ -14,8 +14,8 @@ from collections.abc import Iterator
 from functools import cached_property, total_ordering
 
 from ._record import Record
-from .errors import BoundExceededError, InputError
-from .gcd_symm import GVector, HVector, _closure_h, _g_from_h
+from .errors import BoundExceededError, ConsistencyError, InputError
+from .gcd_symm import _closure_h, _g_from_h
 from .partition_poly import PartitionPolynomial, _polynomial
 
 
@@ -27,7 +27,10 @@ class Partition(Record):
     compares part tuples lexicographically, so ``sorted(..., reverse=True)``
     gives descending lexicographic order.  ``h`` is derived from the
     gcd-closure of the parts (its only derivation), ``g`` from ``h`` and
-    ``polynomial`` from ``g``, each on first read, and kept.
+    ``polynomial`` from ``g``, each on first read, and kept.  ``h`` and
+    ``g`` are tuples (h_1, ..., h_s) and (g_1, ..., g_s); an h with a
+    negative entry is refused with :class:`ConsistencyError`, and g is
+    checked where :func:`partinv.gcd_symm._g_from_h` derives it.
     """
 
     parts: tuple[int, ...]
@@ -58,12 +61,16 @@ class Partition(Record):
         return len(self.parts)
 
     @cached_property
-    def h(self) -> HVector:
-        return HVector(_closure_h(self.parts))
+    def h(self) -> tuple[int, ...]:
+        h = _closure_h(self.parts)
+        for i, value in enumerate(h, start=1):
+            if value < 0:
+                raise ConsistencyError(f"h_{i} must be nonnegative, got {value}")
+        return h
 
     @cached_property
-    def g(self) -> GVector:
-        return GVector(_g_from_h(self.h.values))
+    def g(self) -> tuple[int, ...]:
+        return _g_from_h(self.h)
 
     @cached_property
     def polynomial(self) -> PartitionPolynomial:

@@ -2,7 +2,9 @@ import csv
 import importlib
 import io
 import json
+import math
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -16,13 +18,14 @@ from partinv import (
     count_partitions,
     enumerate_partitions,
     equivalent,
+    euler_phi,
     g_vector,
     scale,
     self_equivalent,
 )
 from partinv.classify import MAX_TABLE_CELLS
 from partinv.cli import main
-from util import reference_table_output
+from util import divisor_count_h, reference_table_output
 
 # The package re-exports the function under the module's name.
 classify_module = importlib.import_module("partinv.classify")
@@ -98,7 +101,7 @@ class TestClassify:
                 assert sum(size * cnt for size, cnt in grouped.e.items()) == grouped.p
                 assert sum(grouped.e.values()) == grouped.i
                 for key, c in zip(grouped.keys, classes):
-                    assert all(g_vector(Partition(m)).values == key for m in c)
+                    assert all(g_vector(Partition(m)) == key for m in c)
 
     def test_csv_rows_match_class_ids(self):
         import csv
@@ -182,9 +185,9 @@ class TestWalk:
         monkeypatch.undo()  # the expected rows are read from Partitions
         for (s, n), text in zip(tables, texts):
             pool = list(enumerate_partitions(s, n))
-            keys = sorted({lam.g.values for lam in pool})
+            keys = sorted({lam.g for lam in pool})
             expected = [
-                [str(lam), ",".join(map(str, lam.g.values)), str(keys.index(lam.g.values))]
+                [str(lam), ",".join(map(str, lam.g)), str(keys.index(lam.g))]
                 for lam in pool
             ]
             assert list(csv.reader(io.StringIO(text))) == [
@@ -215,7 +218,7 @@ class TestSharedShares:
         tables = [(s, n) for n in range(1, 25) for s in range(1, n + 1)] + [(12, 36)]
         for s, n in tables:
             for parts, h in classify_module._walk(s, n):
-                assert h == Partition(parts).h.values, parts
+                assert h == Partition(parts).h, parts
 
     @pytest.mark.parametrize("s,n", [(12, 36), (7, 30), (3, 60), (2, 40)])
     def test_shares_are_kept_for_the_current_first_part_only(self, monkeypatch, s, n):
@@ -242,6 +245,41 @@ class TestSharedShares:
         assert [distinct for distinct, _ in derived] == list(dict.fromkeys(walked))
         assert len(derived) < len(walked) or s <= 3
         assert all(ref() is None for _, ref in derived)
+
+
+def _two_part_classes(n: int) -> tuple[int, int, dict[int, int]]:
+    """p, i and e of P(2, n) by their closed form.  The class of a,b is fixed
+    by gcd(a, b) = gcd(a, n), a proper divisor d of n, and holds the b = dk
+    with k <= n/(2d) prime to n/d: phi(n/d)/2 of them, or 1 when n/d = 2."""
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    proper = {d for k in small for d in (k, n // k)} - {n}
+    sizes = Counter(1 if n // d == 2 else euler_phi(n // d) // 2 for d in proper)
+    return n // 2, len(proper), dict(sorted(sizes.items()))
+
+
+class TestIndependentOracles:
+    # Two checks that share no code with the walk or its kept shares.
+
+    # P(20,60) and P(16,48) reuse most of the shares the walk keeps, P(7,56)
+    # few, and P(3,300) and P(2,2000) none.
+    @pytest.mark.parametrize("s,n", [(20, 60), (16, 48), (7, 56), (3, 300), (2, 2000)])
+    def test_every_h_is_the_divisor_count(self, s, n):
+        h = divisor_count_h(n)
+        for parts, walked in classify_module._walk(s, n):
+            assert walked == h(parts), parts
+
+    def test_two_part_tables_follow_the_closed_form(self):
+        for n in range(2, 400):
+            assert count_classes(2, n) == _two_part_classes(n), n
+
+    # 400001 is the widest table admitted; 399998 = 2 * 199999 also has a
+    # class with n/d = 2.
+    @pytest.mark.parametrize("n", [399_998, 400_001])
+    def test_the_widest_tables_follow_the_closed_form(self, capsys, n):
+        p, i, e = _two_part_classes(n)
+        assert main(["count", "2", str(n)]) == 0
+        histogram = " ".join(f"{size}:{count}" for size, count in e.items())
+        assert capsys.readouterr().out == f"p(2,{n}) = {p}\ni(2,{n}) = {i}\ne(2,{n}): {histogram}\n"
 
 
 class TestSelfEquivalent:
@@ -280,7 +318,7 @@ class TestExports:
         by_class = {}
         for parts_text, g_text, class_id in rows[1:]:
             lam = Partition(tuple(int(x) for x in parts_text.split(",")))
-            assert g_vector(lam).values == tuple(int(x) for x in g_text.split(","))
+            assert g_vector(lam) == tuple(int(x) for x in g_text.split(","))
             by_class.setdefault(int(class_id), []).append(lam)
         assert sorted(map(tuple, grouped.member_parts())) == sorted(
             tuple(m.parts for m in members) for members in by_class.values()

@@ -77,7 +77,7 @@ class TestAnalyze:
         assert data["wedderburn"] == {"1": 6, "2": 1, "3": 1}
         # reconstruct the emitting values from the document
         lam = Partition(tuple(data["partition"]))
-        assert list(g_vector(lam).values) == data["g_vector"]
+        assert list(g_vector(lam)) == data["g_vector"]
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "4,0,1")
@@ -212,7 +212,7 @@ class TestLargeParts:
 
     def test_invariants_answer_at_once(self):
         start = time.perf_counter()
-        assert g_vector(Partition((self.BIG, self.BIG, 6))).values == (
+        assert g_vector(Partition((self.BIG, self.BIG, 6))) == (
             2 * self.BIG + 6,
             self.BIG + 2,
             1,
@@ -524,6 +524,16 @@ class TestClassify:
         assert code == 3
         assert out == ""
         assert "expected 5" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_an_inconsistent_class_key_is_refused(self, capsys, monkeypatch, fmt):
+        # h = (2, 3) gives the key g = (8, 3), which g_s = 3 does not divide.
+        classify_module = importlib.import_module("partinv.classify")
+        monkeypatch.setattr(classify_module, "_closure_h", lambda parts, shares_of: (2, 3))
+        code, out, err = run(capsys, "classify", "2", "8", "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert "g_s = 3 does not divide g_1 = 8" in err
 
     def test_count_builds_no_partition_and_no_key(self, capsys, monkeypatch):
         def unbuilt(*args):

@@ -12,7 +12,6 @@ import partinv.gcd_symm
 from partinv import (
     BoundExceededError,
     ConsistencyError,
-    GVector,
     InputError,
     Partition,
     euler_phi,
@@ -78,48 +77,31 @@ class TestGcdProduct:
 
 class TestGVector:
     def test_example(self):
-        assert g_vector(Partition((8, 2, 1))).values == (11, 4, 1)
+        assert g_vector(Partition((8, 2, 1))) == (11, 4, 1)
 
     def test_single_part(self):
-        assert g_vector(Partition((9,))).values == (9,)
+        assert g_vector(Partition((9,))) == (9,)
 
     def test_four_parts(self):
-        assert g_vector(Partition((12, 4, 3, 1))).values == (20, 11, 4, 1)
-
-    def test_one_based_indexing(self):
-        g = g_vector(Partition((8, 2, 1)))
-        assert (g[1], g[2], g[3]) == (11, 4, 1)
-        with pytest.raises(IndexError):
-            g[0]
-        with pytest.raises(IndexError):
-            g[4]
-
-    def test_iteration_walks_the_values(self):
-        # __iter__ must stay: without it Python iterates through the 1-based
-        # __getitem__ from index 0, which raises IndexError at once, so
-        # list(g) would silently be [].
-        g = g_vector(Partition((8, 2, 1)))
-        h = h_vector(g)
-        assert tuple(g) == g.values == (11, 4, 1)
-        assert tuple(h) == h.values == (6, 1, 1)
+        assert g_vector(Partition((12, 4, 3, 1))) == (20, 11, 4, 1)
 
     def test_agrees_with_subset_enumeration(self):
         for lam in all_partitions(15):
-            got = g_vector(lam).values
+            got = g_vector(lam)
             want = tuple(subset_gcd_sum(lam.parts, i) for i in range(1, lam.s + 1))
             assert got == want, lam
 
     def test_divisibility_invariant_enforced(self):
-        with pytest.raises(ConsistencyError):
-            GVector((5, 3))  # 3 does not divide 5
+        # h = (-1, 3) gives g = (5, 3), and 3 does not divide 5.
+        with pytest.raises(ConsistencyError, match="g_s = 3 does not divide g_1 = 5"):
+            partinv.gcd_symm._g_from_h((-1, 3))
 
     def test_first_entry_is_total_and_bounds(self):
         for lam in all_partitions(16):
             g = g_vector(lam)
-            assert g[1] == lam.n
-            g_last = g[g.s]
-            for i in range(1, g.s + 1):
-                assert math.comb(g.s, i) * g_last <= g[i] <= math.comb(g.s, i) * lam.parts[0]
+            assert g[0] == lam.n
+            for i, g_i in enumerate(g, start=1):
+                assert math.comb(lam.s, i) * g[-1] <= g_i <= math.comb(lam.s, i) * lam.parts[0]
 
     def test_scaling_multiplies_elementwise(self):
         import random
@@ -128,8 +110,8 @@ class TestGVector:
         pool = list(all_partitions(20))
         for lam in rng.sample(pool, 200):
             d = rng.randint(1, 5)
-            want = tuple(d * v for v in g_vector(lam).values)
-            assert g_vector(scale(d, lam)).values == want
+            want = tuple(d * v for v in g_vector(lam))
+            assert g_vector(scale(d, lam)) == want
 
     def test_appending_a_unit_part(self):
         # g_i grows by C(s-1, i-1) when the smallest part is 1.
@@ -138,10 +120,9 @@ class TestGVector:
                 continue
             head = Partition(lam.parts[:-1])
             g_full = g_vector(lam)
-            g_head = g_vector(head)
+            g_head = g_vector(head) + (0,)
             for i in range(1, lam.s + 1):
-                base = g_head[i] if i <= head.s else 0
-                assert g_full[i] == base + math.comb(lam.s - 1, i - 1)
+                assert g_full[i - 1] == g_head[i - 1] + math.comb(lam.s - 1, i - 1)
 
     def test_sandwich_after_dropping_smallest(self):
         # For i >= 2: g_i(head) + C(s-1,i-1) <= g_i <= g_i(head) + min(...).
@@ -151,34 +132,34 @@ class TestGVector:
             head = Partition(lam.parts[:-1])
             tail = lam.parts[-1]
             g_full = g_vector(lam)
-            g_head = g_vector(head)
-            assert g_full[1] >= g_head[1] + 1
+            g_head = g_vector(head) + (0,)
+            assert g_full[0] >= g_head[0] + 1
             for i in range(2, lam.s + 1):
-                base = g_head[i] if i <= head.s else 0
+                base = g_head[i - 1]
                 lower = base + math.comb(lam.s - 1, i - 1)
-                upper = base + min(g_head[i - 1], tail * math.comb(lam.s - 1, i - 1))
-                assert lower <= g_full[i] <= upper, (lam, i)
+                upper = base + min(g_head[i - 2], tail * math.comb(lam.s - 1, i - 1))
+                assert lower <= g_full[i - 1] <= upper, (lam, i)
 
 
 class TestHVector:
     def test_example(self):
-        assert h_vector(GVector((11, 4, 1))).values == (6, 1, 1)
+        assert h_vector((11, 4, 1)) == (6, 1, 1)
 
     def test_two_even_parts(self):
-        assert h_vector(GVector((6, 2))).values == (2, 2)
+        assert h_vector((6, 2)) == (2, 2)
 
     def test_single_part(self):
-        assert h_vector(GVector((9,))).values == (9,)
+        assert h_vector((9,)) == (9,)
 
     def test_invariants_exhaustive(self):
         for lam in all_partitions(20):
             g = g_vector(lam)
             h = h_vector(g)
-            assert sum(i * v for i, v in enumerate(h.values, start=1)) == lam.n
-            alternating = sum(v if i % 2 else -v for i, v in enumerate(g.values, start=1))
-            assert sum(h.values) == alternating
-            assert h[h.s] == g[g.s]
-            assert all(v >= 0 for v in h.values)
+            assert sum(i * v for i, v in enumerate(h, start=1)) == lam.n
+            alternating = sum(v if i % 2 else -v for i, v in enumerate(g, start=1))
+            assert sum(h) == alternating
+            assert h[-1] == g[-1]
+            assert all(v >= 0 for v in h)
 
 
 class TestClosureShares:
@@ -209,8 +190,8 @@ class TestClosureBudget:
             sum(math.prod(p - 1 for p in d) for d in itertools.combinations(primes, 12 - i))
             for i in range(1, 13)
         )
-        assert lam.h.values == want
-        assert h_vector(g_vector(lam)).values == want
+        assert lam.h == want
+        assert h_vector(g_vector(lam)) == want
 
     def test_refuses_the_first_element_past_the_budget(self):
         # 43 and 47 are prime to every quotient and add one element each: the
@@ -265,21 +246,21 @@ class TestPowerNorm:
 
     def test_matches_shifted_g_vector(self):
         for lam in all_partitions(16):
-            assert power_norm(lam) == g_vector(lam).values[1:], lam
+            assert power_norm(lam) == g_vector(lam)[1:], lam
 
-    def test_reads_the_divisor_matrix(self, monkeypatch):
+    def test_reads_the_parts_not_the_g_vector(self, monkeypatch):
+        # Deliberately not g_{i+1}: with every derivation of h and g made
+        # to fail, and wrong vectors kept by the partition, the norms stand.
         lam = Partition((12, 8, 4))
         plain = power_norm(lam)
 
-        real = partinv.gcd_symm.gcd_matrix
+        def refused(*args):
+            raise AssertionError("power_norm derived an h- or g-vector")
 
-        def perturbed(mu):
-            entries = [list(row) for row in real(mu)]
-            entries[0][1] += 1
-            return tuple(tuple(row) for row in entries)
-
-        monkeypatch.setattr(partinv.gcd_symm, "gcd_matrix", perturbed)
-        assert power_norm(lam) != plain
+        for name in ("_closure_shares", "_closure_h", "_g_from_h", "gcd_matrix"):
+            monkeypatch.setattr(partinv.gcd_symm, name, refused)
+        lam.__dict__.update(h=(0, 0, 0), g=(9, 9, 9))
+        assert power_norm(lam) == plain == (12, 4)
 
 
 def _cofactor_det(m):

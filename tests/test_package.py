@@ -14,14 +14,13 @@ import partinv
 from partinv import (
     ConsistencyError,
     FieldSpec,
-    GVector,
-    HVector,
     InputError,
     Partition,
     Permutation,
     distinct_eigenvalue_count,
     wedderburn,
 )
+from partinv.gcd_symm import _g_from_h
 from partinv.oracles import root_fraction
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,8 +99,15 @@ def _with_h(parts: tuple[int, ...], h: tuple[int, ...]) -> Partition:
     """A partition whose kept h-vector is ``h``, as if its derivation had
     gone wrong: the readers of h must refuse it."""
     lam = Partition(parts)
-    lam.__dict__["h"] = HVector(h)
+    lam.__dict__["h"] = h
     return lam
+
+
+def _h_from_kernel(h: tuple[int, ...]) -> tuple[int, ...]:
+    """``Partition((1,)).h`` with the closure kernel made to return ``h``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partinv.partitions, "_closure_h", lambda parts: h)
+        return Partition((1,)).h
 
 
 # Refusals of malformed values that no command line can reach: each names
@@ -112,11 +118,20 @@ _REFUSALS = {
         InputError,
         "a permutation needs degree at least 1",
     ),
-    "GVector(())": (lambda: GVector(()), ConsistencyError, "empty g-vector"),
-    "GVector((0,))": (lambda: GVector((0,)), ConsistencyError, "g_1 must be positive, got 0"),
-    "HVector(())": (lambda: HVector(()), ConsistencyError, "empty h-vector"),
-    "HVector((-1,))": (
-        lambda: HVector((-1,)),
+    "_g_from_h((0,))": (lambda: _g_from_h((0,)), ConsistencyError, "g_1 must be positive, got 0"),
+    "_g_from_h((2, 3))": (
+        lambda: _g_from_h((2, 3)),
+        ConsistencyError,
+        "g_s = 3 does not divide g_1 = 8",
+    ),
+    # g = (3, 0): g_s = 0 is refused before anything is divided by it.
+    "_g_from_h((3, 0))": (
+        lambda: _g_from_h((3, 0)),
+        ConsistencyError,
+        "g_2 must be positive, got 0",
+    ),
+    "Partition.h; kernel=(-1,)": (
+        lambda: _h_from_kernel((-1,)),
         ConsistencyError,
         "h_1 must be nonnegative, got -1",
     ),

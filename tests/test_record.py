@@ -24,7 +24,7 @@ from partinv.algebra import (
     WedderburnShape,
 )
 from partinv.classify import EquivalenceClasses, classify
-from partinv.gcd_symm import DetBounds, GVector, HVector, _Vector
+from partinv.gcd_symm import DetBounds
 from partinv.oracles import Failure, FamilyResult, VerificationReport
 from partinv.partition_poly import PartitionPolynomial
 from partinv.partitions import Partition
@@ -36,9 +36,6 @@ _TABLE = classify(3, 7)
 # for two unequal instances.
 RECORDS = [
     (Partition, ("parts",), {}, [((8, 2, 1),), ((4, 1),)]),
-    (_Vector, ("values",), {}, [((1,),), ((3, 1),)]),
-    (GVector, ("values",), {}, [((1,),), ((11, 3, 1),)]),
-    (HVector, ("values",), {}, [((1,),), ((7, 2, 1),)]),
     (PartitionPolynomial, ("coefficients",), {}, [((1,),), ((1, -3, 11),)]),
     (DetBounds, ("determinant", "lower", "upper", "distinct"), {},
      [(5, 4, 8, True), (0, 1, 3, False)]),
@@ -87,7 +84,7 @@ def all_subclasses(cls):
 
 def test_every_record_class_has_a_twin():
     assert set(all_subclasses(Record)) == {cls for cls, *_ in RECORDS}
-    assert len(RECORDS) == 15
+    assert len(RECORDS) == 12
 
 
 @pytest.mark.parametrize("cls,fields,defaults,samples", RECORDS, ids=_NAMES)
@@ -113,8 +110,8 @@ def test_copies_and_pickles_are_equal_records_of_the_same_class():
 
 
 def test_equality_is_only_within_a_class():
-    assert GVector((1,)) != HVector((1,))
-    assert GVector((1,)) != _Vector((1,))
+    assert Permutation((1,)) != WedderburnShape((1,))
+    assert PartitionPolynomial((1,)) != WedderburnShape((1,))
     assert Partition((1,)) != (1,) and Partition((1,)) != PartitionPolynomial((1,))
 
 

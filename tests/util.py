@@ -10,7 +10,8 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterator
+from collections import Counter
+from typing import Callable, Iterator
 
 from partinv import (
     Partition,
@@ -115,6 +116,32 @@ def subset_gcd_sum(parts: tuple[int, ...], size: int) -> int:
             g = math.gcd(g, parts[index])
         total += g
     return total
+
+
+def divisor_count_h(n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """An independent h-vector for parts up to n: h_i sums phi(d) over the d
+    that divide exactly i parts (Gauss's identity, with d running over every
+    divisor of every part).  Divisor lists and totients are sieved up to n
+    once; there is no gcd-closure and no memo of earlier calls."""
+    phi = list(range(n + 1))
+    divisors: list[list[int]] = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        if d > 1 and phi[d] == d:  # no smaller prime has reduced it: d is prime
+            for m in range(d, n + 1, d):
+                phi[m] -= phi[m] // d
+        for m in range(d, n + 1, d):
+            divisors[m].append(d)
+
+    def h(parts: tuple[int, ...]) -> tuple[int, ...]:
+        inside: Counter[int] = Counter()
+        for part in parts:
+            inside.update(divisors[part])
+        counts = [0] * (len(parts) + 1)
+        for d, i in inside.items():
+            counts[i] += phi[d]
+        return tuple(counts[1:])
+
+    return h
 
 
 def fraction_free_det(rows: list[list[int]]) -> int:

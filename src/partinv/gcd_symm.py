@@ -31,7 +31,6 @@ arithmetic is exact; no floating point.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from ._record import Record
 from .errors import BoundExceededError, ConsistencyError, InputError, refuse_unprintable
@@ -315,8 +314,8 @@ class DetBounds(Record):
     D of parts against their divisors has independent rows), so no leading
     minor is zero and the elimination needs no pivot search.  The upper
     bound subtracts floor(s!/2), which for a single part is 0, so the part
-    itself is the bound.  Isolated parts, each a > 1 coprime to every other
-    part, leave the elimination through a closed form, which
+    itself is the bound.  Parts with a private factor share one row of the
+    elimination per shared part, through a closed form that
     :func:`gcd_matrix_det_and_bounds` states.
     """
 
@@ -329,48 +328,59 @@ class DetBounds(Record):
 def gcd_matrix_det_and_bounds(lam: Partition) -> DetBounds:
     """Determinant of the gcd matrix, plus bounds.
 
-    Repeated parts give two equal rows, so 0 with no elimination.  Distinct
-    parts are eliminated in increasing order, which keeps the leading minors
-    small, with no pivot search: the matrix is positive definite.  An
-    isolated part, a part a > 1 coprime to every other part, meets every
-    other row in 1s only, so the r isolated parts a_j leave the elimination
-    through a closed form: with d_j = a_j - 1, P = prod d_j and
-    E = sum_j prod_{l != j} d_l, their block has determinant P + E, and
-    det G = (P + E) det G_B - E 1^T adj(G_B) 1 over the other parts B (part
-    1 among them).  The gcd matrix of B bordered by one last row
-    (E, ..., E, E (P + E)) is positive definite with determinant E det G,
-    so one elimination of s - r + 1 rows gives det G (of s rows when no
-    part is isolated).  Distinct parts whose upper bound Python cannot
-    write in decimal (it has more digits than
-    ``sys.get_int_max_str_digits()``, where 0 means no limit) are refused
-    with :class:`BoundExceededError` after the factoring and before the
-    elimination, which on so many small parts takes minutes.
+    Repeated parts give two equal rows, so 0 with no elimination.  For
+    distinct parts, let u(a) be the largest divisor of a part a coprime to
+    every other part and rho = a / u(a), so gcd(a, b) = gcd(rho, b) for
+    every other part b.  A part with u = 1 keeps its own row.  The parts a_j
+    with u > 1 and one rho, with d_j = a_j - rho, P = prod d_j and
+    E = sum_j prod_{l != j} d_l, become one row: E_i E_j gcd(rho_i, rho_j)
+    against another such row, E_i gcd(rho_i, b) against an own row b, and
+    E_i (rho_i E_i + P_i) on the diagonal.  That matrix is
+    L (G' + diag(P_i / E_i)) L, with G' the gcd matrix of the own parts and
+    the rho_i and L = diag(E_i), so it is positive definite; eliminated in
+    increasing order of the diagonal, with no pivot search, it gives
+    det G prod E_i (by the Schur complement of each group's block
+    rho J + diag(d_j)).  A group of one part is that part's own row, and
+    the group of rho = 1 holds the parts coprime to every other part.
+    Distinct parts whose upper bound Python cannot write in decimal (it has
+    more digits than ``sys.get_int_max_str_digits()``, where 0 means no
+    limit) are refused with :class:`BoundExceededError` after the factoring
+    and before the elimination, which on so many small parts takes minutes.
     """
     # Factoring for the lower bound comes first: a part that cannot be
     # factored is refused before the elimination is paid for.  The product
-    # of the parts, for the upper bound, also finds the isolated parts: a is
-    # coprime to every other distinct part when gcd(a, product / a) is 1.
-    # d_product and border are the docstring's P and E.
-    counts = Counter(lam.parts)
-    lower = math.prod(euler_phi(p) ** m for p, m in counts.items())
-    distinct = len(counts) == lam.s
+    # of the parts, for the upper bound, also finds the private factors: a
+    # prime of a divides another distinct part when it divides product / a.
+    # d_product and e are a group's P and E; border is the product of the E.
+    parts = set(lam.parts)
+    lower = math.prod(euler_phi(p) ** lam.parts.count(p) for p in parts)
+    distinct = len(parts) == lam.s
     product = math.prod(lam.parts)
     upper = product - math.factorial(lam.s) // 2
     det = 0
     if distinct:
         refuse_unprintable(upper)
-        rest, d_product, border = [], 1, 0
-        for a in sorted(counts):
-            if a > 1 and math.gcd(a, product // a) == 1:
-                d_product, border = d_product * (a - 1), border * (a - 1) + d_product
+        rows, groups, border = [], {}, 1
+        for a in parts:
+            private, shared = a, math.gcd(a, product // a)
+            while shared > 1:
+                private //= shared
+                shared = math.gcd(private, shared)
+            if private == 1:
+                rows.append((a, a, 1))
             else:
-                rest.append(a)
-        gcds = [[math.gcd(a, b) for b in rest[i:]] for i, a in enumerate(rest)]
-        if border:
-            for row in gcds:
-                row.append(border)
-            gcds.append([border * (d_product + border)])
-        det, remainder = divmod(_positive_definite_det(gcds), border or 1)
+                rho = a // private
+                d_product, e = groups.get(rho, (1, 0))
+                groups[rho] = d_product * (a - rho), e * (a - rho) + d_product
+        for rho, (d_product, e) in groups.items():
+            rows.append((e * (rho * e + d_product), rho, e))
+            border *= e
+        rows.sort()
+        gcds = [
+            [diag, *[e * f * math.gcd(v, w) for _, w, f in rows[i + 1 :]]]
+            for i, (diag, v, e) in enumerate(rows)
+        ]
+        det, remainder = divmod(_positive_definite_det(gcds), border)
         if remainder:
             raise ConsistencyError(
                 f"bordered gcd matrix determinant leaves {remainder} mod its border {border}"

@@ -27,6 +27,7 @@ from util import (
     INDEFINITE,
     all_partitions,
     digit_limit,
+    elimination_rows,
     fraction_free_det,
     prime_quotients,
     subset_gcd_sum,
@@ -38,14 +39,15 @@ positives = st.integers(min_value=1, max_value=10**6)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-
-def isolated(parts):
-    """The parts a > 1 coprime to every other part, pair by pair."""
-    return [a for a in parts if a > 1 and all(math.gcd(a, b) == 1 for b in parts if b != a)]
+# Primes above 100, each a private factor of any part it divides when no
+# other part is drawn with it.
+LARGE_PRIMES = tuple(p for p in range(101, 400) if all(p % q for q in range(2, 20)))
+SMOOTH = (1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72)
 
 
 _rng = random.Random(31)
-# Sets of distinct parts with none, some or only isolated parts.
+# Sets of distinct parts with none, some or only isolated parts (parts
+# coprime to every other part), and with parts that share a smaller part.
 SHAPES = {
     "one-part": (7,),
     "part-1": (1,),
@@ -54,6 +56,13 @@ SHAPES = {
     "first-15-primes-and-1": (1, *PRIMES),
     "one-isolated-part": (2, 4, 6, 35),
     "one-isolated-part-and-1": (1, 2, 4, 6, 35),
+    # 606 = 6 * 101 and 618 = 6 * 103 share the part 6 of theirs
+    "two-parts-share-6": (4, 6, 9, 606, 618),
+    "shared-part-6-is-a-part": (2, 6, 9, 606, 618, 35),
+    # 808 = 8 * 101 and 2781 = 27 * 103 share prime powers of 2 and 3
+    "shared-prime-powers": (2, 3, 808, 2781),
+    # 8 keeps its row although 202 = 2 * 101 is the only other even part
+    "a-part-past-the-shared-power": (8, 202, 309, 321),
     "1..200": tuple(range(1, 201)),
     "divisors-of-720": tuple(d for d in range(1, 721) if 720 % d == 0),
     "divisors-of-5040": tuple(d for d in range(1, 5041) if 5040 % d == 0),
@@ -441,8 +450,9 @@ class TestDeterminant:
         assert gcd_matrix_det_and_bounds(Partition.of(*parts)).determinant == want
 
     @pytest.mark.parametrize("parts", SHAPES.values(), ids=SHAPES.keys())
-    def test_isolated_parts_leave_the_elimination(self, monkeypatch, parts):
-        # r isolated parts leave s - r rows and one border row; none leave s.
+    def test_each_shared_part_takes_one_row(self, monkeypatch, parts):
+        # A part keeps its own row when each of its primes divides another
+        # part; the others take one row per shared part.
         sizes = []
         real = partinv.gcd_symm._positive_definite_det
 
@@ -452,17 +462,37 @@ class TestDeterminant:
 
         monkeypatch.setattr(partinv.gcd_symm, "_positive_definite_det", spy)
         gcd_matrix_det_and_bounds(Partition.of(*parts))
-        r = len(isolated(parts))
-        assert sizes == [len(parts) - r + 1 if r else len(parts)]
+        assert sizes == [elimination_rows(parts)]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(SMOOTH), st.sampled_from(LARGE_PRIMES)),
+            min_size=1,
+            max_size=14,
+            unique_by=lambda pair: pair[1],
+        ),
+        st.lists(st.sampled_from(SMOOTH), max_size=4),
+    )
+    def test_against_general_elimination_on_shared_parts(self, grouped, bare):
+        # Parts drawn as a smooth part times a private prime share that
+        # smooth part with every part drawn with the same one.
+        parts = sorted({smooth * prime for smooth, prime in grouped} | set(bare))
+        want = fraction_free_det([[math.gcd(a, b) for b in parts] for a in parts])
+        assert gcd_matrix_det_and_bounds(Partition.of(*parts)).determinant == want
 
     @pytest.mark.parametrize(
-        "parts", [(1, 2, 3), PRIMES, range(1, 201)], ids=["1,2,3", "primes", "1..200"]
+        "parts",
+        [(1, 2, 3), PRIMES, range(1, 201), (4, 6, 9, 606, 618)],
+        ids=["1,2,3", "primes", "1..200", "two-parts-share-6"],
     )
     def test_a_bordered_determinant_off_by_one_is_a_consistency_error(
         self, capsys, monkeypatch, parts
     ):
-        # Each set has at least two isolated parts, so the border E exceeds
-        # 1 and an elimination one above E det G leaves a remainder.
+        # In each set two parts or more share one part of theirs (1 for
+        # isolated parts; 6 for 606 and 618, with no isolated part), so the
+        # border, the product of the E, exceeds 1 and an elimination one
+        # above it times det G leaves a remainder.
         real = partinv.gcd_symm._positive_definite_det
         monkeypatch.setattr(
             partinv.gcd_symm, "_positive_definite_det", lambda upper: real(upper) + 1

@@ -306,3 +306,36 @@ def upper_gcds(lam: Partition) -> list[int]:
     """The entries above the gcd matrix's diagonal, sorted."""
     rows = gcd_matrix(lam)
     return sorted(v for i, row in enumerate(rows) for v in row[i + 1 :])
+
+
+def _factorization(m: int) -> dict[int, int]:
+    """The prime factorization of m >= 1 by trial division, prime to exponent."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def elimination_rows(parts) -> int:
+    """Rows of the gcd-matrix elimination of distinct parts: one per part
+    each of whose primes divides another part, and one per distinct shared
+    part among the others, the shared part of a being the product of the
+    prime powers of a whose prime divides another part."""
+    parts = set(parts)
+    own, shared = 0, set()
+    for a in parts:
+        others = [b for b in parts if b != a]
+        rho = math.prod(
+            p**k for p, k in _factorization(a).items() if any(b % p == 0 for b in others)
+        )
+        if rho == a:
+            own += 1
+        else:
+            shared.add(rho)
+    return own + len(shared)

@@ -267,31 +267,51 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="partinv",
         description="Exact partition invariants and fixed-matrix-algebra decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text, handler, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
         formats = ["text", "json", "csv"] if name == "classify" else ["text", "json"]
         p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(handler=handler)
-    return parser
+    return parser, commands
 
 
-# Nothing in the parser depends on argv, so it is built once, at import;
-# parse_args gives every call its own namespace.
-_PARSER = _build_parser()
+# Nothing in the parsers depends on argv, so they are built once, at import;
+# each parse gives its call its own namespace.
+_PARSER, _COMMAND_PARSERS = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, by the named command's own parser.
+
+    Given a command name first, the top-level parser hands exactly the rest
+    of argv to that command's parser, so parsing the rest with that parser
+    alone gives the same namespace (less ``command``, which no handler
+    reads), the same help and the same errors.  Only leftover arguments are
+    reported by the top-level parser, under its own usage line, so those,
+    like a first argument that names no command, go through it.
+    """
+    parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         # An integer argument past the digit limit is refused (exit 4) here.
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at exit
         return code

@@ -159,6 +159,20 @@ class TestClassify:
                 images = sorted(scale(2, Partition(m)).parts for m in original.parts)
                 assert evens == images
 
+    def test_tables_are_stable_in_s(self):
+        # Appending a part 1 moves only the root 1, from h_s to h_{s+1}, and
+        # for s >= r it maps P(s, s+r) onto P(s+1, s+1+r).  It adds
+        # C(s, i-1) to each g_i, so the key order, and with it every class
+        # id, is kept too.
+        for r in range(13):
+            for s in range(max(r, 1), r + 4):
+                smaller, larger = classify(s, s + r), classify(s + 1, s + 1 + r)
+                appended = [
+                    [parts + (1,) for parts in members] for members in smaller.member_parts()
+                ]
+                assert larger.member_parts() == appended, (s, r)
+                assert count_classes(s + 1, s + 1 + r) == count_classes(s, s + r), (s, r)
+
 
 class TestWalk:
     @pytest.mark.parametrize("table", [classify, count_classes, self_equivalent])

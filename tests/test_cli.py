@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import partinv
@@ -896,6 +896,103 @@ class TestDeclaration:
         result = run_module("analyze", "8,2,1")
         assert result.returncode == 0
         assert result.stdout.splitlines()[:3] == ["partition: 8,2,1", "n: 11", "s: 3"]
+
+
+# Argument vectors whose every outcome, from answers through help to each
+# kind of usage error, main must give exactly as the top-level parser would.
+PARSE_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "analyze"],
+    ["--help", "x", "y"],
+    ["analyze", "-h"],
+    ["compare", "--help"],
+    ["classify", "-h"],
+    ["verify", "--help"],
+    ["analyze", "-h", "8,2,1", "--bogus"],
+    ["frobnicate"],
+    ["ana", "8,2,1"],
+    ["ANALYZE", "8,2,1"],
+    ["self-equiv", "3", "6"],
+    ["--", "analyze", "8,2,1"],
+    ["--format", "json", "analyze", "8,2,1"],
+    ["analyze"],
+    ["compare", "8,2,1"],
+    ["analyze", "8,2,1", "3"],
+    ["compare", "8,2,1", "4,3", "5"],
+    ["count", "3", "6", "--nmax", "2"],
+    ["analyze", "8,2,1", "--bogus"],
+    ["iso", "2,1", "3", "x", "--char", "3"],
+    ["analyze", "8,2,1", "--format=json"],
+    ["morita", "8,2,1", "4,3", "--form", "json"],
+    ["classify", "3", "6", "--format", "csv", "--format", "json"],
+    ["analyze", "8,2,1", "--char", "3", "--char", "5"],
+    ["compare", "--char", "3", "8,2,1", "4,3"],
+    ["count", "--format", "json", "3", "6"],
+    ["analyze", "--", "8,2,1"],
+    ["count", "3", "--", "6"],
+    ["count", "-5", "6"],
+    ["analyze", "-5"],
+    ["count", "x", "6"],
+    ["verify", "--nmax", "x"],
+    ["analyze", "8,2,1", "--char", "1.5"],
+    ["analyze", "8,2,1", "--format", "xml"],
+    ["self-equivalent", "3", "6", "--format", "csv"],
+    ["verify", "--nmax=2"],
+    ["iso", "8,2,1", "4,3"],
+    ["count", "3", "1" * 5000],
+]
+_PARSE_TOKENS = [
+    *COMMANDS, "ana", "Analyze", "counts", "self", "verif",
+    "-h", "--format", "--format=json", "--form", "--char", "--nmax",
+    "--", "-5", "x", "8,2,1", "3", "json", "csv", "xml",
+]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParseContract:
+    """main parses with the named command's own parser, and answers every
+    argv as parsing all of it with the top-level parser would."""
+
+    @staticmethod
+    def assert_as_top_level(monkeypatch, argv):
+        from partinv import cli
+
+        shipped = _outcome(argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_parse", cli._PARSER.parse_args)
+            assert shipped == _outcome(argv), argv
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv)[:40])
+    def test_corpus(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps usage at the terminal width
+        self.assert_as_top_level(monkeypatch, argv)
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=6))
+    def test_any_argv(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        self.assert_as_top_level(monkeypatch, argv)
+
+    def test_a_named_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        from partinv import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        for argv in SHAPES:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            assert out
 
 
 class TestClosedStdout:
